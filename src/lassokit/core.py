@@ -17,7 +17,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -158,14 +159,6 @@ class RunLasso:
         return self.states[self.loop_start:]
 
 
-def minimize_run(run: RunLasso) -> RunLasso:
-    """Canonical form of a run lasso (primitive loop, maximal stem retraction)."""
-    stem, loop = _canonical_parts(
-        run.states[: run.loop_start], run.states[run.loop_start:]
-    )
-    return RunLasso(stem + loop, len(stem))
-
-
 def _normalize_coloring(coloring: Mapping[str, int]) -> dict[str, int]:
     """Re-index colors to a contiguous block, merging same-parity neighbours.
 
@@ -241,6 +234,43 @@ class ParityAutomaton:
 
     def successors(self, q: str, a: str) -> frozenset[str]:
         return self.transitions.get((q, a), frozenset())
+
+    @cached_property
+    def compiled(self) -> "CompiledAutomaton":
+        """Integer view for acceptance queries, built on first use."""
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class CompiledAutomaton:
+    """Integer view of a parity automaton.
+
+    Letters and states are numbered in declaration order.  A deterministic
+    automaton gets a flat successor ``table``: the successor of state q on
+    letter x sits at ``q * len(letter_index) + x``, and the sentinel
+    ``len(colors)`` marks a dead cell.  Nondeterministic automata have no
+    table (and no ``initial``); they are decided on the product graph.
+    """
+
+    letter_index: Mapping[str, int]
+    colors: tuple[int, ...]
+    table: Optional[tuple[int, ...]]
+    initial: Optional[int]
+
+
+def _compile(a: ParityAutomaton) -> CompiledAutomaton:
+    letter_index = {x: i for i, x in enumerate(a.alphabet.letters)}
+    state_index = {q: i for i, q in enumerate(a.states)}
+    colors = tuple(a.coloring[q] for q in a.states)
+    if not is_deterministic(a):
+        return CompiledAutomaton(letter_index, colors, None, None)
+    S = len(letter_index)
+    table = [len(colors)] * (len(colors) * S)
+    for (q, x), targets in a.transitions.items():
+        (t,) = targets
+        table[state_index[q] * S + letter_index[x]] = state_index[t]
+    (q0,) = a.initial
+    return CompiledAutomaton(letter_index, colors, tuple(table), state_index[q0])
 
 
 def is_deterministic(a: ParityAutomaton) -> bool:
@@ -355,10 +385,102 @@ def _has_accepting_cycle(nodes: Iterable, edges: Mapping, color_of) -> bool:
 def accepts_lasso(a: ParityAutomaton, w: Lasso) -> bool:
     """Decide membership of the induced infinite word in L(a).
 
-    Works on the product of base positions and states; cycles can only
-    form among loop positions, and the run is accepting iff some reachable
-    cycle has an even maximal color.
+    Deterministic automata are simulated on their compiled table
+    (``det_accepts``); nondeterministic ones go through the product graph
+    (``accepts_by_product``).
     """
+    view = a.compiled
+    if view.table is None:
+        return accepts_by_product(a, w)
+    index = view.letter_index
+    try:
+        stem = [index[x] for x in w.stem]
+        loop = [index[x] for x in w.loop]
+    except KeyError as exc:
+        raise InputError(
+            f"lasso letter {exc.args[0]!r} not in automaton alphabet"
+        ) from None
+    return det_accepts(view.table, view.colors, len(index), view.initial, stem, loop)
+
+
+def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
+    """Verdicts of ``a`` on every lasso with base ``word`` (letter indices):
+    entry i is the verdict for stem ``word[:i]`` and loop ``word[i:]``."""
+    view = a.compiled
+    if view.table is not None:
+        return det_split_verdicts(
+            view.table, view.colors, len(view.letter_index), view.initial, word
+        )
+    named = tuple(a.alphabet[x] for x in word)
+    return [
+        accepts_by_product(a, Lasso(named[:i], named[i:])) for i in range(len(word))
+    ]
+
+
+# Deterministic acceptance on a flat successor table (see CompiledAutomaton):
+# the successor of state q on letter x is table[q * S + x], and
+# len(colors) is the dead cell.  Synthesis runs its candidate tables
+# through the same routines.
+
+def det_accepts(table, colors, S: int, q: int, stem, loop) -> bool:
+    """Run the table from state q on the lasso ``stem . loop^w``."""
+    dead = len(colors)
+    for x in stem:
+        q = table[q * S + x]
+        if q == dead:
+            return False
+    return _det_rounds(table, colors, S, q, loop, {}, [])
+
+
+def _det_rounds(table, colors, S: int, q: int, loop, entry: dict, tops: list) -> bool:
+    """Simulate the loop one round at a time from entry state q until an
+    entry state repeats; ``entry`` maps the entry states of the rounds in
+    ``tops`` (their max colors) to their round number.  The max color over
+    the recurring rounds decides, and a dead cell rejects."""
+    dead = len(colors)
+    while q not in entry:
+        entry[q] = len(tops)
+        top = -1
+        for x in loop:
+            c = colors[q]
+            if c > top:
+                top = c
+            q = table[q * S + x]
+            if q == dead:
+                return False
+        tops.append(top)
+    return max(tops[entry[q]:]) % 2 == 0
+
+
+def det_split_verdicts(table, colors, S: int, q: int, word) -> list[bool]:
+    """``det_accepts`` for every split of ``word`` at once.  The run along
+    the word is computed once: it is the stem plus the first loop round of
+    every split, so each split only simulates its later rounds."""
+    dead = len(colors)
+    run = [q]
+    for x in word:
+        q = table[q * S + x]
+        if q == dead:
+            return [False] * len(word)
+        run.append(q)
+    verdicts = [False] * len(word)
+    top = -1
+    for i in range(len(word) - 1, -1, -1):
+        start = run[i]
+        c = colors[start]
+        if c > top:
+            top = c
+        if q == start:
+            verdicts[i] = top % 2 == 0
+        else:
+            verdicts[i] = _det_rounds(table, colors, S, q, word[i:], {start: 0}, [top])
+    return verdicts
+
+
+def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
+    """Generic acceptance on the product of base positions and states;
+    cycles can only form among loop positions, and the run is accepting
+    iff some reachable cycle has an even maximal color."""
     base = w.base
     for letter in base:
         if letter not in a.alphabet:

@@ -9,7 +9,7 @@ import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Alphabet,
@@ -18,6 +18,7 @@ from .core import (
     MembershipOracle,
     ParityAutomaton,
     accepts_lasso,
+    accepts_splits,
     check_inclusion_exact,
     is_deterministic,
     is_safety,
@@ -40,12 +41,19 @@ def unroll(w: Lasso, n2: int) -> Lasso:
     return Lasso(w.stem + moved, w.loop[turn:] + w.loop[:turn])
 
 
+def words_by_length(symbols: Sequence, lo: int, hi: int) -> Iterator[tuple]:
+    """Every word over ``symbols`` with length lo..hi: by length, then in
+    lexicographic order.  Each word stands for the lassos of its splits."""
+    for length in range(lo, hi + 1):
+        yield from itertools.product(symbols, repeat=length)
+
+
 def enumerate_bases(alphabet: Alphabet, n: int) -> Iterator[Lasso]:
     """All lassos with base length exactly n: every base word combined with
     every split position, in lexicographic (word, split) order."""
     if n < 1:
         raise InputError("base length must be positive")
-    for word in itertools.product(alphabet.letters, repeat=n):
+    for word in words_by_length(alphabet.letters, n, n):
         for split in range(n):
             yield Lasso(word[:split], word[split:])
 
@@ -147,21 +155,31 @@ def default_inclusion_bound(a: ParityAutomaton, n: int) -> int:
     return max(n, a.size)
 
 
-def _scan(a, phi, n, lengths_and_words) -> PrecisionReport:
+def _scan(a, phi, n, words) -> PrecisionReport:
+    """Check the lassos of the given words (letter indices), in (word,
+    split) order; a Lasso is only built when the oracle is consulted."""
+    letters = a.alphabet.letters
     report = PrecisionReport(0, 0)  # bounds fixed up by caller before merge
-    for length, word in lengths_and_words:
-        for split in range(length):
-            w = Lasso(word[:split], word[split:])
-            got = accepts_lasso(a, w)
-            if length == n:
+    for word in words:
+        verdicts = accepts_splits(a, word)
+        if len(word) == n:
+            report.checked_equal += n
+            named = tuple(letters[x] for x in word)
+            for split, got in enumerate(verdicts):
+                w = Lasso(named[:split], named[split:])
                 ref = phi(w)
-                report.checked_equal += 1
                 if got != ref:
                     report.mismatches.append((w, ref, got))
-            else:
-                report.checked_inclusion += 1
-                if got and not phi(w):
-                    report.inclusion_violations.append(w)
+        else:
+            report.checked_inclusion += len(word)
+            if not any(verdicts):
+                continue
+            named = tuple(letters[x] for x in word)
+            for split, got in enumerate(verdicts):
+                if got:
+                    w = Lasso(named[:split], named[split:])
+                    if not phi(w):
+                        report.inclusion_violations.append(w)
     return report
 
 
@@ -183,7 +201,8 @@ def check_lasso_precise(
     to the inclusion bound, which defaults to max(n, |a|); callers checking
     a large automaton against a bare oracle should pass a bound that they
     can afford.  ``jobs`` splits the enumeration into chunks evaluated on a
-    thread pool, merged associatively.
+    thread pool and merged in order.  The threads share the interpreter
+    lock, so they give no speedup.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
@@ -201,14 +220,11 @@ def check_lasso_precise(
     if bound < n:
         raise InputError("inclusion bound must be at least the precision bound")
 
-    work: list[tuple[int, tuple[str, ...]]] = []
-    for length in range(1, bound + 1):
-        for word in itertools.product(a.alphabet.letters, repeat=length):
-            work.append((length, word))
-
+    words = words_by_length(range(len(a.alphabet)), 1, bound)
     if jobs <= 1:
-        parts = [_scan(a, phi, n, work)]
+        parts = [_scan(a, phi, n, words)]
     else:
+        work = list(words)
         chunk = max(1, len(work) // jobs)
         slices = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         with ThreadPoolExecutor(max_workers=jobs) as pool:

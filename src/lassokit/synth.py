@@ -16,12 +16,15 @@ two).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
 import shlex
 import subprocess
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,9 +37,10 @@ from .core import (
     ParityAutomaton,
     ResourceLimit,
     SolverFailure,
-    accepts_lasso,
+    accepts_splits,
+    det_split_verdicts,
 )
-from .lassolab import PrecisionReport, check_lasso_precise
+from .lassolab import PrecisionReport, check_lasso_precise, words_by_length
 from .ltl import ApLetterMap, LtlFormula, ltl_oracle
 
 DEFAULT_EXPANSION_LIMIT = 1_000_000
@@ -670,40 +674,6 @@ def _canonical_reach(table: tuple, k: int, S: int) -> Optional[int]:
     return seen
 
 
-def _det_accepts(table, mu, k: int, S: int, stem, loop) -> bool:
-    """Run the successor table on the lasso; dead cell means rejection.
-    max-even over the colors that recur once the loop closes on itself."""
-    s = 0
-    for li in stem:
-        s = table[s * S + li]
-        if s >= k:
-            return False
-    entry_round = {}
-    rounds = []
-    while s not in entry_round:
-        entry_round[s] = len(rounds)
-        colors = []
-        for li in loop:
-            colors.append(mu[s])
-            s = table[s * S + li]
-            if s >= k:
-                return False
-        rounds.append(colors)
-    best = -1
-    for colors in rounds[entry_round[s]:]:
-        for c in colors:
-            if c > best:
-                best = c
-    return best % 2 == 0
-
-
-def _index_lassos(alphabet: Alphabet, length: int):
-    S = len(alphabet)
-    for word in itertools.product(range(S), repeat=length):
-        for split in range(length):
-            yield word[:split], word[split:]
-
-
 def search_lasso_precise(
     alphabet: Alphabet,
     oracle,
@@ -724,7 +694,8 @@ def search_lasso_precise(
     fixed, states numbered in visit order); the nondeterministic mode
     enumerates subset transition tables with initial sets {q0..qi} and is
     only meant for very small k.  Raises ResourceLimit when the documented
-    pre-pruning count exceeds the ceiling.
+    pre-pruning count exceeds the ceiling.  The witness is not re-checked
+    here: callers run ``verify_certificate`` on it.
     """
     S = len(alphabet)
     space = search_space_size(S, k, m, target)
@@ -743,30 +714,52 @@ def search_lasso_precise(
             cache[w] = got
         return got
 
-    equality = []
-    for stem, loop in _index_lassos(alphabet, n):
-        w = Lasso(tuple(alphabet[i] for i in stem), tuple(alphabet[i] for i in loop))
-        equality.append((stem, loop, phi(w)))
-    inclusion = []
-    for length in range(1, bound + 1):
-        if length == n:
-            continue
-        inclusion.extend(_index_lassos(alphabet, length))
+    equality = [
+        (word, [phi(_lasso_of(alphabet, word, split)) for split in range(n)])
+        for word in words_by_length(range(S), n, n)
+    ]
+    # Only candidates that pass equality read the inclusion words, so the
+    # list is built the first time one does.
+    inclusion = _once(
+        lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
+    )
 
     if target == "deterministic":
-        found = _scan_deterministic(
-            alphabet, phi, n, k, m, equality, inclusion, bound, jobs
-        )
-    else:
-        found = _scan_nondeterministic(alphabet, phi, n, k, m, equality, bound)
-    if found is None:
-        return None
-    report = check_lasso_precise(found, phi, n, inclusion_bound=bound)
-    if not report.ok:
-        raise ContractViolation(
-            "fast candidate test disagrees with check_lasso_precise"
-        )
-    return found
+        return _scan_deterministic(alphabet, phi, k, m, equality, inclusion, jobs)
+    return _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion)
+
+
+def _lasso_of(alphabet: Alphabet, word, split: int) -> Lasso:
+    named = tuple(alphabet[x] for x in word)
+    return Lasso(named[:split], named[split:])
+
+
+def _once(build):
+    """Getter that calls ``build`` on first use and then returns its result;
+    safe to share between threads."""
+    lock = threading.Lock()
+    box = []
+
+    def get():
+        with lock:
+            if not box:
+                box.append(build())
+            return box[0]
+
+    return get
+
+
+def _is_precise(verdicts_of, alphabet, phi, equality, inclusion) -> bool:
+    """The candidate test: ``verdicts_of(word)`` (one verdict per split)
+    matches the language on every equality word, and no accepted lasso of
+    an inclusion word lies outside it."""
+    if any(verdicts_of(word) != wants for word, wants in equality):
+        return False
+    for word in inclusion():
+        for split, got in enumerate(verdicts_of(word)):
+            if got and not phi(_lasso_of(alphabet, word, split)):
+                return False
+    return True
 
 
 def _decode_det_table(index: int, k: int, S: int) -> tuple:
@@ -796,9 +789,10 @@ def _build_det(alphabet: Alphabet, table, mu, k: int) -> ParityAutomaton:
     )
 
 
-def _scan_deterministic(alphabet, phi, n, k, m, equality, inclusion, bound, jobs):
+def _scan_deterministic(alphabet, phi, k, m, equality, inclusion, jobs):
     S = len(alphabet)
     total = (k + 1) ** (k * S)
+    stop = threading.Event()
 
     def test_table(table) -> Optional[ParityAutomaton]:
         reach = _canonical_reach(table, k, S)
@@ -806,68 +800,45 @@ def _scan_deterministic(alphabet, phi, n, k, m, equality, inclusion, bound, jobs
             return None
         for mu_r in itertools.product(range(m), repeat=reach):
             mu = mu_r + (0,) * (k - reach)
-            ok = True
-            for stem, loop, want in equality:
-                if _det_accepts(table, mu, k, S, stem, loop) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for stem, loop in inclusion:
-                if _det_accepts(table, mu, k, S, stem, loop):
-                    w = Lasso(
-                        tuple(alphabet[i] for i in stem),
-                        tuple(alphabet[i] for i in loop),
-                    )
-                    if not phi(w):
-                        ok = False
-                        break
-            if ok:
+            verdicts_of = functools.partial(det_split_verdicts, table, mu, S, 0)
+            if _is_precise(verdicts_of, alphabet, phi, equality, inclusion):
                 return _build_det(alphabet, table, mu, k)
         return None
 
-    def scan_range(lo: int, hi: int):
+    def scan_range(lo: int, hi: int) -> Optional[ParityAutomaton]:
         for idx in range(lo, hi):
+            if stop.is_set():
+                return None
             got = test_table(_decode_det_table(idx, k, S))
             if got is not None:
-                return idx, got
+                return got
         return None
 
     if jobs <= 1:
-        hit = scan_range(0, total)
-        return hit[1] if hit else None
-    from concurrent.futures import ThreadPoolExecutor
-
+        return scan_range(0, total)
     chunk = max(1, total // (jobs * 4))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    best = None
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for hit in pool.map(lambda r: scan_range(*r), ranges):
-            if hit is not None and (best is None or hit[0] < best[0]):
-                best = hit
-    return best[1] if best else None
+        futures = [
+            pool.submit(scan_range, lo, min(lo + chunk, total))
+            for lo in range(0, total, chunk)
+        ]
+        try:
+            # ranges are in index order, so the first hit read is the lowest
+            for fut in futures:
+                got = fut.result()
+                if got is not None:
+                    return got
+        finally:
+            stop.set()
+            for fut in futures:
+                fut.cancel()
+    return None
 
 
-def _scan_nondeterministic(alphabet, phi, n, k, m, equality, bound):
+def _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion):
     # experimental mode: no symmetry pruning beyond the initial-set shape
     S = len(alphabet)
     names = [f"q{s}" for s in range(k)]
-    eq_lassos = [
-        Lasso(tuple(alphabet[i] for i in stem), tuple(alphabet[i] for i in loop))
-        for stem, loop, _ in equality
-    ]
-    wants = [want for _, _, want in equality]
-    extra = []
-    for length in range(1, bound + 1):
-        if length == n:
-            continue
-        for stem, loop in _index_lassos(alphabet, length):
-            extra.append(
-                Lasso(
-                    tuple(alphabet[i] for i in stem),
-                    tuple(alphabet[i] for i in loop),
-                )
-            )
     for i0 in range(1, k + 1):
         initial = frozenset(names[:i0])
         for table in itertools.product(range(1 << k), repeat=k * S):
@@ -887,12 +858,8 @@ def _scan_nondeterministic(alphabet, phi, n, k, m, equality, bound):
                     transitions=transitions,
                     coloring={names[s]: mu_r[s] for s in range(k)},
                 )
-                if all(
-                    accepts_lasso(cand, w) == want
-                    for w, want in zip(eq_lassos, wants)
-                ) and not any(
-                    accepts_lasso(cand, w) and not phi(w) for w in extra
-                ):
+                verdicts_of = functools.partial(accepts_splits, cand)
+                if _is_precise(verdicts_of, alphabet, phi, equality, inclusion):
                     return cand
     return None
 

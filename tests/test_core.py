@@ -8,7 +8,9 @@ from lassokit.core import (
     InputError,
     Lasso,
     ParityAutomaton,
+    accepts_by_product,
     accepts_lasso,
+    accepts_splits,
     check_inclusion_exact,
     complement_dpa,
     complete_with_sink,
@@ -22,7 +24,8 @@ from lassokit.core import (
     product_safety,
     reachable_states,
 )
-from lassokit.lassolab import unroll
+from lassokit import core
+from lassokit.lassolab import enumerate_bases, unroll
 
 from helpers import rand_automaton, rand_lasso
 
@@ -165,6 +168,94 @@ class TestAcceptance:
             verdict = accepts_lasso(a, w)
             assert accepts_lasso(a, w.canonical()) == verdict
             assert accepts_lasso(a, unroll(w, w.length + rng.randint(1, 3))) == verdict
+
+
+def counter_dpa(k: int) -> ParityAutomaton:
+    """a counts modulo k; b keeps the count but is dead at k-1.  Only the
+    top count has an even color, so a lasso whose loop adds to the count
+    needs up to k rounds before its entry state repeats."""
+    names = [f"c{i}" for i in range(k)]
+    transitions = {(names[i], "a"): {names[(i + 1) % k]} for i in range(k)}
+    transitions.update({(names[i], "b"): {names[i]} for i in range(k - 1)})
+    coloring = {q: 1 for q in names}
+    coloring[names[-1]] = 2
+    return dpa(transitions, coloring, initial="c0")
+
+
+def lassos_up_to(alphabet, bound):
+    for length in range(1, bound + 1):
+        yield from enumerate_bases(alphabet, length)
+
+
+class TestCompiledAcceptance:
+    def test_compiled_lazily(self):
+        a = counter_dpa(3)
+        assert "compiled" not in vars(a)
+        accepts_lasso(a, lasso("", "a"))
+        view = vars(a)["compiled"]
+        assert a.compiled is view
+        assert view.table is not None and view.initial == 0
+
+    def test_nondeterministic_has_no_table(self):
+        a = ParityAutomaton(
+            AB, ("x", "y"), frozenset({"x"}),
+            {("x", "a"): frozenset({"x", "y"})}, {"x": 1, "y": 2},
+        )
+        assert a.compiled.table is None
+
+    def test_several_rounds_before_the_entry_repeats(self):
+        a = counter_dpa(5)
+        assert accepts_lasso(a, lasso("", "a"))  # five rounds, c4 recurs
+        assert accepts_lasso(a, lasso("b", "aa"))  # entries c0 c2 c4 c1 c3
+        assert not accepts_lasso(a, lasso("", "ab"))  # b dies at c4 in round four
+        assert not accepts_lasso(a, lasso("aaaa", "b"))
+        assert not accepts_lasso(a, lasso("aaa", "b"))  # c3 recurs alone
+        for w in lassos_up_to(AB, 5):
+            assert accepts_lasso(a, w) == accepts_by_product(a, w), w
+
+    def test_deterministic_path_agrees_with_product(self, monkeypatch):
+        def no_sccs(*_args):
+            raise AssertionError("deterministic acceptance reached _sccs")
+
+        rng = random.Random(23)
+        abc = Alphabet(("a", "b", "c"))
+        autos = [
+            rand_automaton(rng, sigma, max_states=5, max_color=4,
+                           deterministic=True, density=density)
+            for sigma, count in ((AB, 40), (abc, 8))
+            for density in (0.6, 0.9, 1.0)
+            for _ in range(count)
+        ]
+        autos += [counter_dpa(k) for k in (1, 2, 4, 6)]
+        for a in autos:
+            assert a.compiled.table is not None
+            lassos = list(lassos_up_to(a.alphabet, 5))
+            words = [w.base for w in lassos if not w.stem]
+            expected = [accepts_by_product(a, w) for w in lassos]
+            index = a.compiled.letter_index
+            with monkeypatch.context() as m:
+                m.setattr(core, "_sccs", no_sccs)
+                got = [accepts_lasso(a, w) for w in lassos]
+                splits = [
+                    v for base in words
+                    for v in accepts_splits(a, [index[x] for x in base])
+                ]
+            assert got == expected
+            assert splits == expected
+
+    def test_nondeterministic_splits_use_product(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            a = rand_automaton(rng, AB, max_states=3, max_color=3)
+            for length in range(1, 4):
+                for w in enumerate_bases(AB, length):
+                    word = [AB.index(x) for x in w.base]
+                    assert accepts_splits(a, word)[len(w.stem)] == accepts_by_product(a, w)
+
+    def test_unknown_letter_rejected(self):
+        for a in (GFB, counter_dpa(2)):
+            with pytest.raises(InputError):
+                accepts_lasso(a, lasso("", "c"))
 
 
 class TestEmptiness:

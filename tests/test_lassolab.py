@@ -8,6 +8,7 @@ from lassokit.core import (
     InputError,
     Lasso,
     ParityAutomaton,
+    accepts_by_product,
     accepts_lasso,
     lasso,
 )
@@ -21,7 +22,7 @@ from lassokit.lassolab import (
 )
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
 
-from helpers import rand_lasso
+from helpers import rand_automaton, rand_lasso
 
 AB = Alphabet(("a", "b"))
 
@@ -187,6 +188,44 @@ class TestCheckLassoPrecise:
                 map(str, seq.inclusion_violations)
             )
             assert par.ok == seq.ok
+
+    def test_same_as_reference_scan(self):
+        # A scan built from enumerate_bases and the generic product path
+        # fixes the counts and the order of every reported lasso.
+        def reference(a, phi, n, bound):
+            out = PrecisionReport(n, bound)
+            for length in range(1, bound + 1):
+                for w in enumerate_bases(a.alphabet, length):
+                    got = accepts_by_product(a, w)
+                    if length == n:
+                        out.checked_equal += 1
+                        if got != phi(w):
+                            out.mismatches.append((w, not got, got))
+                    else:
+                        out.checked_inclusion += 1
+                        if got and not phi(w):
+                            out.inclusion_violations.append(w)
+            return out
+
+        rng = random.Random(31)
+        reported = [0, 0]
+        for i in range(24):
+            a = rand_automaton(rng, AB, max_states=4, max_color=3,
+                               deterministic=i % 3 != 0, density=0.9)
+            b = rand_automaton(rng, AB, max_states=3, max_color=3)
+
+            def phi(w, b=b):
+                return accepts_by_product(b, w)
+
+            want = reference(a, phi, 2, 4)
+            for jobs in (1, 3):
+                got = check_lasso_precise(a, phi, 2, inclusion_bound=4, jobs=jobs)
+                assert got.to_dict() == want.to_dict()
+                assert got.mismatches == want.mismatches
+                assert got.inclusion_violations == want.inclusion_violations
+            reported[0] += len(want.mismatches)
+            reported[1] += len(want.inclusion_violations)
+        assert min(reported) > 0
 
     def test_bad_bounds(self):
         with pytest.raises(InputError):

@@ -10,7 +10,7 @@ from lassokit.core import (
     SolverFailure,
     accepts_lasso,
 )
-from lassokit.lassolab import check_lasso_precise
+from lassokit.lassolab import check_lasso_precise, words_by_length
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
 from lassokit.synth import (
     SOLVER_ENV_VAR,
@@ -217,6 +217,29 @@ class TestBruteForce:
         one = brute_force_search(q)
         four = brute_force_search(q, jobs=4)
         assert same_automaton(one, four)
+
+    def test_jobs_agree_on_unsat(self):
+        q = q_of("F G p", 2, 1, 1)
+        assert brute_force_search(q) is None
+        assert brute_force_search(q, jobs=3) is None
+
+    def test_inclusion_words_built_once_and_only_when_needed(self, monkeypatch):
+        from lassokit import synth
+
+        calls = []
+
+        def recording(symbols, lo, hi):
+            calls.append((lo, hi))
+            return words_by_length(symbols, lo, hi)
+
+        monkeypatch.setattr(synth, "words_by_length", recording)
+        # no candidate agrees with F G p on base 2, so nothing reads them
+        assert brute_force_search(q_of("F G p", 2, 1, 1)) is None
+        assert calls == [(2, 2)]
+        calls.clear()
+        # four candidates agree with X p on base 1; they share one list
+        assert brute_force_search(q_of("X p", 1, 2, 1)) is not None
+        assert calls == [(1, 1), (1, 2)]
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimit):
