@@ -94,9 +94,6 @@ class ExprPool:
     def implies(self, a: int, b: int) -> int:
         return self.disj(self.neg(a), b)
 
-    def equiv(self, a: int, b: int) -> int:
-        return self.conj(self.implies(a, b), self.implies(b, a))
-
     def at_most_one(self, es: Sequence[int]) -> int:
         out = []
         for i in range(len(es)):
@@ -125,21 +122,6 @@ class ExprPool:
                 todo.extend(self.payloads[node])
         return frozenset(out)
 
-    def size(self, e: int) -> int:
-        seen: set[int] = set()
-        todo = [e]
-        while todo:
-            node = todo.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            kind = self.kinds[node]
-            if kind == "n":
-                todo.append(self.payloads[node])
-            elif kind in ("a", "o"):
-                todo.extend(self.payloads[node])
-        return len(seen)
-
     def fold(self, e: int, assignment: dict[int, bool], memo: Optional[dict] = None) -> int:
         """Substitute the given variables and re-simplify bottom-up."""
         if memo is None:
@@ -163,13 +145,6 @@ class ExprPool:
             out = self.conj_all(children) if kind == "a" else self.disj_all(children)
         memo[e] = out
         return out
-
-    def evaluate(self, e: int, asg: dict[int, bool]) -> bool:
-        folded = self.fold(e, asg)
-        if self.kinds[folded] != "c":
-            missing = sorted(self.free_vars(folded))[:5]
-            raise ContractViolation(f"evaluation left free variables {missing}")
-        return self.payloads[folded]
 
     def tseitin(
         self, roots: Sequence[int], first_aux: int
@@ -225,7 +200,7 @@ def solve_cnf(clauses: list[list[int]], n_vars: int) -> Optional[dict[int, bool]
     """Complete DPLL search with unit propagation.
 
     Returns an assignment for every variable 1..n_vars or None.  Intended
-    for the desk-scale instances the expansion solver produces, not as a
+    for the desk-scale instances the expansion loop produces, not as a
     competitive solver.
     """
     assign: dict[int, bool] = {}

@@ -10,6 +10,7 @@ diagnostic, never guessed at.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -220,27 +221,16 @@ def _eval_label(e, mask: int, ap_count: int, line: int) -> bool:
     )
 
 
+_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
+_NOT_NEWLINE = re.compile(r"[^\n]")
+
+
 def _strip_comments(text: str) -> str:
-    """Remove /* */ comments, preserving newlines so line numbers hold."""
-    out = []
-    i = 0
-    depth = 0
-    while i < len(text):
-        if depth == 0 and text.startswith("/*", i):
-            depth = 1
-            i += 2
-        elif depth > 0 and text.startswith("*/", i):
-            depth -= 1
-            i += 2
-        elif depth > 0:
-            out.append(text[i] if text[i] == "\n" else " ")
-            i += 1
-        else:
-            out.append(text[i])
-            i += 1
-    if depth:
+    """Blank out /* */ comments, keeping newlines so line numbers hold."""
+    out = _COMMENT.sub(lambda m: _NOT_NEWLINE.sub(" ", m.group()), text)
+    if "/*" in out:
         raise ParseError("unterminated /* comment")
-    return "".join(out)
+    return out
 
 
 def _split_quoted(rest: str, line: int) -> list[str]:
@@ -272,14 +262,6 @@ def _split_quoted(rest: str, line: int) -> list[str]:
             out.append(rest[i:j])
             i = j
     return out
-
-
-_IGNORED_HEADERS = {"tool", "properties", "acc-name"}
-_KNOWN_ACC = {
-    "all": ("all",),
-    "Buchi": ("buchi",),
-    "parity": ("parity",),
-}
 
 
 def parse_hoa(text: str) -> HoaDocument:

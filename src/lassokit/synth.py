@@ -7,11 +7,11 @@ query: existential variables choose transitions and colors, universal
 variables range over candidate words (letter bits plus a loop marker) and
 candidate runs (state selectors plus a run-loop marker).
 
-Solving happens one of three ways: expanding the universals for tiny
-instances and deciding the residual SAT problem internally, handing a
-QDIMACS file to an external solver, or enumerating automata directly
-(the brute force path, which doubles as the test oracle for the other
-two).
+Solving happens one of three ways: counterexample-guided expansion of
+the universals for instances under the expansion limit, with each step
+decided by the internal SAT search; handing a QDIMACS file to an external
+solver; or enumerating automata directly (the brute force path, which
+doubles as the test oracle for the other two).
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ class QbfProblem:
     """Encoded 2-QBF query plus the bookkeeping to decode models.
 
     ``parts`` maps subformula names to pool node ids so tests can probe
-    each piece of the matrix on its own.
+    each piece of the matrix on its own.  One part is not in the matrix:
+    ``universal_canonical`` holds on exactly the universal assignments
+    that ``canonical_assignment_count`` counts.
     """
 
     query: SynthesisQuery
@@ -175,9 +177,9 @@ def encode(q: SynthesisQuery) -> QbfProblem:
     automaton_shape = P.conj_all(shape_parts)
 
     # --- universal wellformedness ---------------------------------------
+    # No letter validity part: letters are AP valuations, so every bit
+    # pattern denotes a letter.
     loop_onehot = P.exactly_one([lv[j] for j in range(N)])
-    # Letters are AP valuations, so every bit pattern denotes a letter.
-    letters_valid = P.TRUE
 
     # --- helpers over the symbolic word and run -------------------------
     def word_letter_bit(j: int, b: int) -> int:
@@ -341,15 +343,16 @@ def encode(q: SynthesisQuery) -> QbfProblem:
     )
 
     universal_part = P.implies(
-        P.conj(loop_onehot, letters_valid),
-        P.conj(runs_imply_formula, formula_words_accepted),
+        loop_onehot, P.conj(runs_imply_formula, formula_words_accepted)
     )
     matrix = P.conj(automaton_shape, universal_part)
+    universal_canonical = P.conj_all(
+        [loop_onehot, run_loop_onehot] + [run_state_valid(j) for j in range(R)]
+    )
 
     parts = {
         "automaton_shape": automaton_shape,
         "loop_onehot": loop_onehot,
-        "letters_valid": letters_valid,
         "word_models_k": word_models_k,
         "word_models_n": word_models_n,
         "run_match_strict": strict_match,
@@ -360,6 +363,7 @@ def encode(q: SynthesisQuery) -> QbfProblem:
         "run_loop_valid": run_loop_valid,
         "run_loop_colors_even": run_loop_colors_even,
         "formula_words_accepted": formula_words_accepted,
+        "universal_canonical": universal_canonical,
     }
 
     problem = QbfProblem(
@@ -485,7 +489,7 @@ def emit_qdimacs(p: QbfProblem) -> str:
 
 
 # ---------------------------------------------------------------------------
-# internal decision by universal expansion
+# internal decision by counterexample-guided expansion
 
 def canonical_assignment_count(p: QbfProblem) -> int:
     """Universal assignments that survive loop wellformedness: every word
@@ -501,98 +505,85 @@ def canonical_assignment_count(p: QbfProblem) -> int:
 def solve_by_expansion(
     p: QbfProblem, limit: int = DEFAULT_EXPANSION_LIMIT
 ) -> Optional[dict[int, bool]]:
-    """Decide the query by instantiating all canonical universal assignments.
+    """Decide the query by counterexample-guided expansion of the universals.
 
     Returns a model over the transition and color variables, or None for
     unsatisfiable.  Raises ResourceLimit when the canonical assignment
-    count exceeds ``limit``.  Skipped non-canonical assignments are all
-    vacuous: garbage loop markers falsify the loop guard, garbage run
-    states falsify the run validity conjuncts.
+    count exceeds ``limit``.
+
+    Instead of folding every canonical universal assignment into the
+    matrix, the loop expands on demand (the abstraction refinement of
+    Janota and Marques-Silva for 2-QBF):
+
+    1. SAT-solve ``automaton_shape`` conjoined with the instances collected
+       so far.  UNSAT means the query is UNSAT; otherwise the model is the
+       candidate.
+    2. Look for a canonical universal assignment that falsifies the matrix
+       under the candidate.  If there is none, the candidate is a model.
+    3. Fold that assignment into ``universal_part``.  The result is a new
+       instance over the existential variables; FALSE means UNSAT,
+       otherwise add it and repeat.
+
+    Termination: each counterexample falsifies a candidate that satisfies
+    every earlier instance, so no canonical assignment is returned twice,
+    and the loop runs at most ``canonical_assignment_count(p)`` rounds.
     """
     count = canonical_assignment_count(p)
     if count > limit:
         raise ResourceLimit(
             f"expansion needs {count} universal instances, limit is {limit}"
         )
-    q = p.query
     pool = p.pool
-    sigma = q.ap_map.alphabet
-    S = len(sigma)
-    N = max(q.k, q.n)
-    R = q.n * q.k
-    s_bits = max(0, (q.k - 1).bit_length())
-    ap_count = len(q.ap_map.aps)
-    TRUE, FALSE = pool.TRUE, pool.FALSE
-    instances: dict[int, None] = {}
+    instances = [p.parts["automaton_shape"]]
+    while True:
+        abstraction = pool.conj_all(instances)
+        clauses, next_var = pool.tseitin([abstraction], p.var_count + 1)
+        model = solve_cnf(clauses, next_var - 1)
+        if model is None:
+            return None
+        candidate = {v: model[v] for v in p.existential_vars}
+        counter = _falsifying_assignment(p, candidate)
+        if counter is None:
+            return candidate
+        instance = pool.fold(p.universal_part, counter)
+        if instance == pool.FALSE:
+            return None
+        instances.append(instance)
 
-    def expand_runs(node: int) -> bool:
-        # DFS over run positions, then run-loop markers; False means some
-        # instance is constantly false, i.e. the whole query is UNSAT.
-        stack = [(0, node)]
-        while stack:
-            j, cur = stack.pop()
-            if j == R or s_bits == 0:
-                for rw in range(R):
-                    asg = {p.run_loop_vars[i]: i == rw for i in range(R)}
-                    inst = pool.fold(cur, asg)
-                    if inst == FALSE:
-                        return False
-                    if inst != TRUE:
-                        instances[inst] = None
-                continue
-            for s in range(q.k):
-                asg = {
-                    p.run_state_vars[(j, b)]: bool(s >> b & 1)
-                    for b in range(s_bits)
-                }
-                child = pool.fold(cur, asg)
-                if child == FALSE:
-                    return False
-                if child != TRUE:
-                    stack.append((j + 1, child))
-        return True
 
-    for letters in itertools.product(range(S), repeat=N):
-        word_asg = {}
-        for j, li in enumerate(letters):
-            mask = q.ap_map.mask_of(sigma[li])
-            for b in range(ap_count):
-                word_asg[p.letter_vars[(j, b)]] = bool(mask >> b & 1)
-        for lw in range(N):
-            asg = dict(word_asg)
-            for j in range(N):
-                asg[p.word_loop_vars[j]] = j == lw
-            inst = pool.fold(p.universal_part, asg)
-            if inst == FALSE:
-                return None
-            if inst == TRUE:
-                continue
-            if not expand_runs(inst):
-                return None
+def _falsifying_assignment(
+    p: QbfProblem, model: dict[int, bool]
+) -> Optional[dict[int, bool]]:
+    """A canonical universal assignment under which fixing the existential
+    variables to ``model`` falsifies the matrix, or None if there is none.
 
-    big = pool.conj_all([p.parts["automaton_shape"]] + list(instances))
-    if big == FALSE:
+    Restricting the search to canonical assignments loses nothing.  An
+    assignment that falsifies ``runs_imply_formula`` depends only on its
+    first k run states, which the strict match makes valid.  One that
+    falsifies ``formula_words_accepted`` passes the tolerant match, so all
+    its run states are valid, and it either fails ``run_all_defined``,
+    which ignores the run-loop marker, or closes a valid, hence one-hot,
+    run loop.  Either way it stays falsifying when invalid run states are
+    reset to state 0 and a run-loop marker that is not one-hot to step 0.
+    """
+    pool = p.pool
+    asg = {v: bool(model.get(v, False)) for v in p.existential_vars}
+    # residual first: solve_cnf branches on the earliest open clause
+    refute = pool.conj(
+        pool.neg(pool.fold(p.matrix, asg)), p.parts["universal_canonical"]
+    )
+    clauses, next_var = pool.tseitin([refute], p.var_count + 1)
+    found = solve_cnf(clauses, next_var - 1)
+    if found is None:
         return None
-    clauses, next_var = pool.tseitin([big], p.var_count + 1)
-    model = solve_cnf(clauses, next_var - 1)
-    if model is None:
-        return None
-    return {v: model.get(v, False) for v in p.existential_vars}
+    return {v: found[v] for v in p.universal_vars}
 
 
 def model_satisfies(p: QbfProblem, model: dict[int, bool]) -> bool:
     """Whether fixing the existential variables to ``model`` makes the
     matrix valid for every universal assignment (decided exactly by
     refuting the negated residual)."""
-    asg = {v: bool(model.get(v, False)) for v in p.existential_vars}
-    residual = p.pool.fold(p.matrix, asg)
-    negated = p.pool.neg(residual)
-    if negated == p.pool.FALSE:
-        return True
-    if negated == p.pool.TRUE:
-        return False
-    clauses, next_var = p.pool.tseitin([negated], p.var_count + 1)
-    return solve_cnf(clauses, next_var - 1) is None
+    return _falsifying_assignment(p, model) is None
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,17 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="comment"):
             parse_hoa(_minimal(version="HOA: v1 /* oops"))
 
+    def test_close_marker_outside_a_comment_is_text(self):
+        doc = parse_hoa(_minimal(version='HOA: v1\nname: "a */ b"'))
+        assert doc.name == "a */ b"
+
+    def test_slash_star_slash_does_not_close(self):
+        # the "/" of "/*/" belongs to the opener, so the comment stays open
+        doc = parse_hoa(_minimal(version="HOA: v1 /*/ still a comment */"))
+        assert doc.automaton.size == 1
+        with pytest.raises(ParseError, match="comment"):
+            parse_hoa(_minimal(version="HOA: v1 /*/"))
+
 
 class TestDot:
     def test_shapes_and_edges(self):
