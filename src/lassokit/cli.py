@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import tempfile
 from typing import Optional
@@ -67,8 +66,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return args.handler(args)
     except (ParseError, InputError) as exc:
@@ -89,9 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lassokit",
         description="approximate, check, and synthesize lasso-precise omega-automata",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for any randomized corpus"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

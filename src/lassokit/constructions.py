@@ -9,7 +9,7 @@ under-approximation between two complementations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     Alphabet,
@@ -43,6 +43,21 @@ def color_reduction_state_bound(a: ParityAutomaton, n: int, m_prime: int) -> int
     return (n * a.size + 1) * a.size * (a.color_count - m_prime + 2)
 
 
+def _letter_tokens(alphabet: Alphabet) -> tuple[str, ...]:
+    """How each letter is spelled inside a state name.
+
+    Names join letters with commas.  When no letter plus a comma is a
+    prefix of another letter plus a comma, a joined string splits into
+    letters one way only, so letters keep their own names; otherwise
+    (say ``a`` and ``a,a``) they are spelled by their index.
+    """
+    # In sorted order a code that prefixes another prefixes its successor.
+    codes = sorted(x + "," for x in alphabet)
+    if any(d.startswith(c) for c, d in zip(codes, codes[1:])):
+        return tuple(str(i) for i in range(len(alphabet)))
+    return alphabet.letters
+
+
 def build_safety_lasso_precise(
     phi: MembershipOracle, alphabet: Alphabet, n: int
 ) -> ParityAutomaton:
@@ -52,85 +67,83 @@ def build_safety_lasso_precise(
     is asked, once per split position, whether the stored word closed at
     that position belongs to the language; phase two then advances one loop
     pointer per still-viable split and kills the run once all pointers die.
+
+    States are explored breadth first and keyed by ``("p1", prefix)`` or
+    ``("p2", (word, pointers))``, where pointer i holds the position its
+    split expects next (1-based) or 0 once dead.  A state is named once,
+    when first met: ``p1[a,b]`` or ``p2[a,b;2,-]``.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
+    letters = alphabet.letters
+    spell = dict(zip(letters, _letter_tokens(alphabet)))
+    marks = ("-",) + tuple(str(t) for t in range(1, n + 1))
+    dead = (0,) * n
 
-    def p1_name(prefix: tuple[str, ...]) -> str:
-        return "p1[%s]" % ",".join(prefix)
-
-    def p2_name(word: tuple[str, ...], ts: tuple[Optional[int], ...]) -> str:
-        marks = ",".join("-" if t is None else str(t) for t in ts)
-        return "p2[%s;%s]" % (",".join(word), marks)
-
-    def enter_phase2(word: tuple[str, ...]) -> tuple[Optional[int], ...]:
+    def enter_phase2(word: tuple[str, ...]) -> tuple[int, ...]:
         # Pointer i (1-based) survives iff the stored word, looped from
         # position i, induces a word of the language.
-        out = []
-        for i in range(1, n + 1):
-            w = Lasso(word[: i - 1], word[i - 1 :])
-            out.append(i if phi(w) else None)
-        return tuple(out)
+        return tuple(
+            i if phi(Lasso(word[: i - 1], word[i - 1 :])) else 0
+            for i in range(1, n + 1)
+        )
 
     transitions: dict[tuple[str, str], frozenset[str]] = {}
-    coloring: dict[str, int] = {}
     states: list[str] = []
-    seen: set[str] = set()
+    # state key -> the singleton target set {name}, shared by every edge into it
+    target: dict[tuple, frozenset[str]] = {}
+    # (key, name, "p2[<word>;" for phase-two states)
+    todo: deque[tuple[tuple, str, str]] = deque()
 
-    def declare(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            states.append(name)
-            coloring[name] = 0
+    def visit(key: tuple, name: str, head: str = "") -> frozenset[str]:
+        dst = target[key] = frozenset((name,))
+        states.append(name)
+        todo.append((key, name, head))
+        return dst
 
-    start = p1_name(())
-    declare(start)
-    todo: deque[tuple[str, tuple]] = deque([("p1", ())])
-    visited: set[tuple] = {("p1", ())}
+    start = "p1[]"
+    visit(("p1", ()), start)
     while todo:
-        kind, payload = todo.popleft()
+        (kind, payload), src, head = todo.popleft()
         if kind == "p1":
-            prefix = payload
-            src = p1_name(prefix)
-            for x in alphabet:
-                word = prefix + (x,)
+            for x in letters:
+                word = payload + (x,)
                 if len(word) < n:
-                    dst_key = ("p1", word)
-                    dst = p1_name(word)
+                    key = ("p1", word)
+                    dst = target.get(key) or visit(
+                        key, "p1[%s]" % ",".join(spell[y] for y in word)
+                    )
                 else:
                     ts = enter_phase2(word)
-                    dst_key = ("p2", (word, ts))
-                    dst = p2_name(word, ts)
-                declare(dst)
-                transitions[(src, x)] = frozenset({dst})
-                if dst_key not in visited:
-                    visited.add(dst_key)
-                    todo.append(dst_key)
-        else:
-            word, ts = payload
-            src = p2_name(word, ts)
-            if all(t is None for t in ts):
-                continue  # every loop hypothesis failed: reject from here
-            for x in alphabet:
-                nts = []
-                for i, t in enumerate(ts, start=1):
-                    if t is None or word[t - 1] != x:
-                        nts.append(None)
-                    elif t < n:
-                        nts.append(t + 1)
-                    else:
-                        nts.append(i)
-                nts_t = tuple(nts)
-                dst = p2_name(word, nts_t)
-                declare(dst)
-                transitions[(src, x)] = frozenset({dst})
-                key = ("p2", (word, nts_t))
-                if key not in visited:
-                    visited.add(key)
-                    todo.append(key)
+                    key = ("p2", (word, ts))
+                    wh = "p2[%s;" % ",".join(spell[y] for y in word)
+                    dst = target.get(key) or visit(
+                        key, wh + ",".join(map(marks.__getitem__, ts)) + "]", wh
+                    )
+                transitions[(src, x)] = dst
+            continue
+        word, ts = payload
+        if not any(ts):
+            continue  # every loop hypothesis failed: reject from here
+        # Only the letters some live pointer expects keep a pointer alive.
+        moves: dict[str, list[int]] = {}
+        for i, t in enumerate(ts, start=1):
+            if t:
+                nts = moves.get(word[t - 1])
+                if nts is None:
+                    nts = moves[word[t - 1]] = [0] * n
+                nts[i - 1] = t + 1 if t < n else i
+        for x in letters:
+            nts = moves.get(x)
+            key = ("p2", (word, dead if nts is None else tuple(nts)))
+            dst = target.get(key) or visit(
+                key, head + ",".join(map(marks.__getitem__, key[1][1])) + "]", head
+            )
+            transitions[(src, x)] = dst
 
     out = ParityAutomaton(
-        alphabet, tuple(states), frozenset({start}), transitions, coloring
+        alphabet, tuple(states), frozenset({start}), transitions,
+        dict.fromkeys(states, 0),
     )
     assert out.size <= safety_state_bound(len(alphabet), n)
     return out

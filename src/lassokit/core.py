@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
@@ -88,7 +89,7 @@ def _canonical_parts(stem: tuple, loop: tuple) -> tuple[tuple, tuple]:
     """Shrink loop to its primitive period, then retract the stem into it."""
     n = len(loop)
     for p in range(1, n + 1):
-        if n % p == 0 and all(loop[i] == loop[i % p] for i in range(n)):
+        if n % p == 0 and loop[:p] * (n // p) == loop:
             loop = loop[:p]
             break
     while stem and stem[-1] == loop[-1]:
@@ -201,21 +202,24 @@ class ParityAutomaton:
             raise InputError("automaton needs at least one initial state")
         if not self.initial <= state_set:
             raise InputError("initial states must be declared states")
+        letters = set(self.alphabet.letters)
         cleaned: dict[tuple[str, str], frozenset[str]] = {}
-        for (q, a), targets in self.transitions.items():
+        for key, targets in self.transitions.items():
+            q, a = key
             if q not in state_set:
                 raise InputError(f"transition from undeclared state {q!r}")
-            if a not in self.alphabet:
+            if a not in letters:
                 raise InputError(f"transition on unknown letter {a!r}")
-            tgt = frozenset(targets)
-            if not tgt:
+            if type(targets) is not frozenset:
+                targets = frozenset(targets)
+            if not targets:
                 continue
-            if not tgt <= state_set:
+            if not targets <= state_set:
                 raise InputError(f"transition from {q!r} to undeclared state")
-            cleaned[(q, a)] = tgt
+            cleaned[key] = targets
         if set(self.coloring) != state_set:
             raise InputError("coloring must assign exactly the declared states")
-        if any(c < 0 for c in self.coloring.values()):
+        if min(self.coloring.values()) < 0:
             raise InputError("colors must be non-negative")
         object.__setattr__(self, "transitions", cleaned)
         object.__setattr__(self, "coloring", _normalize_coloring(self.coloring))
@@ -277,14 +281,12 @@ def is_deterministic(a: ParityAutomaton) -> bool:
     """Single initial state and at most one successor per state and letter."""
     if len(a.initial) != 1:
         return False
-    return all(len(t) == 1 for t in a.transitions.values())
+    return set(map(len, a.transitions.values())) <= {1}
 
 
 def is_complete(a: ParityAutomaton) -> bool:
     """Every state has at least one successor on every letter."""
-    return all(
-        (q, x) in a.transitions for q in a.states for x in a.alphabet
-    )
+    return all(map(a.transitions.__contains__, product(a.states, a.alphabet.letters)))
 
 
 def is_buchi(a: ParityAutomaton) -> bool:

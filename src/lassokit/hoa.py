@@ -96,16 +96,25 @@ def write_hoa(
         props.append("deterministic")
     lines.append("properties: %s" % " ".join(props))
     lines.append("--BODY--")
+    # "[label] " once per letter, the state numbers once per state
+    heads = [
+        (x, "[%s] " % _letter_label(li, x, ap_map)) for li, x in enumerate(a.alphabet)
+    ]
+    number = {q: str(i) for q, i in index.items()}
+    transitions = a.transitions
     for q in a.states:
         mark = "" if sets[q] is None else " {%d}" % sets[q]
-        lines.append(f"State: {index[q]} {_quote(q)}{mark}")
-        for li, x in enumerate(a.alphabet):
-            targets = a.successors(q, x)
-            if not targets:
+        lines.append(f"State: {number[q]} {_quote(q)}{mark}")
+        for x, head in heads:
+            targets = transitions.get((q, x))
+            if targets is None:
                 continue
-            label = _letter_label(li, x, ap_map)
-            for t in sorted(targets, key=index.__getitem__):
-                lines.append(f"[{label}] {index[t]}")
+            if len(targets) == 1:
+                (t,) = targets
+                lines.append(head + number[t])
+            else:
+                for t in sorted(targets, key=index.__getitem__):
+                    lines.append(head + number[t])
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -113,13 +122,10 @@ def write_hoa(
 def _letter_label(letter_index: int, letter: str, ap_map: Optional[ApLetterMap]) -> str:
     if ap_map is None:
         return str(letter_index)
-    if not ap_map.aps:
-        return "t"
     mask = ap_map.mask_of(letter)
-    terms = []
-    for i in range(len(ap_map.aps)):
-        terms.append(str(i) if mask >> i & 1 else f"!{i}")
-    return "&".join(terms)
+    return "&".join(
+        str(i) if mask >> i & 1 else f"!{i}" for i in range(len(ap_map.aps))
+    )
 
 
 class _LabelParser:

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .core import Alphabet, InputError, Lasso, MembershipOracle, ParseError
+from .core import (
+    Alphabet,
+    InputError,
+    Lasso,
+    MembershipOracle,
+    ParseError,
+    _canonical_parts,
+)
 
 _UNARY = ("not", "next", "eventually", "always")
 _BINARY = ("and", "or", "implies", "until", "release")
@@ -38,6 +46,12 @@ class LtlFormula:
     @property
     def size(self) -> int:
         return 1 + sum(g.size for g in self.operands)
+
+    @cached_property
+    def _programs(self) -> dict[tuple[str, ...], tuple]:
+        """Compiled evaluation steps of this formula, one list per AP tuple,
+        filled by ``eval_on_lasso`` on first use."""
+        return {}
 
     def atoms(self) -> frozenset[str]:
         if self.kind == "atom":
@@ -141,10 +155,14 @@ class ApLetterMap:
     def alphabet(self) -> Alphabet:
         return Alphabet(self.letters)
 
+    @cached_property
+    def _masks(self) -> dict[str, int]:
+        return {x: mask for mask, x in enumerate(self.letters)}
+
     def mask_of(self, letter: str) -> int:
         try:
-            return self.letters.index(letter)
-        except ValueError:
+            return self._masks[letter]
+        except KeyError:
             raise InputError(f"letter {letter!r} not in AP alphabet") from None
 
     def truth(self, letter: str, ap: str) -> bool:
@@ -336,78 +354,90 @@ def format_ltl(f: LtlFormula) -> str:
 # evaluation on lassos
 
 
-def _until_values(fv: list[bool], gv: list[bool], n: int, wrap: int) -> list[bool]:
-    # Least fixpoint: two reverse sweeps over the loop let witnesses cross
-    # the wrap once, which suffices because a minimal witness lies within
-    # one period of its origin.
-    x = [False] * n
-    for _sweep in range(2):
-        for i in range(n - 1, wrap - 1, -1):
-            j = i + 1 if i + 1 < n else wrap
-            x[i] = gv[i] or (fv[i] and x[j])
-    for i in range(wrap - 1, -1, -1):
-        x[i] = gv[i] or (fv[i] and x[i + 1])
-    return x
+# A formula compiles, once per AP tuple, into a postorder list of steps
+# (kind, x, y): x and y index earlier steps, or x is the AP bit of an atom.
+# Truth values along the base of a lasso are bit sets, bit i for position i;
+# position n-1 steps to position |stem|, where the loop starts again.
+
+def _compile(f: LtlFormula, aps: tuple[str, ...]) -> tuple[tuple[str, int, int], ...]:
+    steps: list[tuple[str, int, int]] = []
+    done: dict[LtlFormula, int] = {}
+
+    def emit(g: LtlFormula) -> int:
+        got = done.get(g)
+        if got is not None:
+            return got
+        if g.kind == "atom":
+            if g.name not in aps:
+                raise InputError(f"formula atom {g.name!r} missing from the AP map")
+            step = ("atom", aps.index(g.name), 0)
+        else:
+            args = [emit(h) for h in g.operands] + [0, 0]
+            step = (g.kind, args[0], args[1])
+        done[g] = len(steps)
+        steps.append(step)
+        return done[g]
+
+    emit(f)
+    return tuple(steps)
 
 
-def _release_values(fv: list[bool], gv: list[bool], n: int, wrap: int) -> list[bool]:
-    x = [True] * n
-    for _sweep in range(2):
-        for i in range(n - 1, wrap - 1, -1):
-            j = i + 1 if i + 1 < n else wrap
-            x[i] = gv[i] and (fv[i] or x[j])
-    for i in range(wrap - 1, -1, -1):
-        x[i] = gv[i] and (fv[i] or x[i + 1])
-    return x
+def _run(steps, masks: list[int], wrap: int) -> int:
+    """Bit set of the base positions where the last step holds."""
+    last = len(masks) - 1
+    full = (1 << len(masks)) - 1
+    vals: list[int] = []
+    for kind, x, y in steps:
+        if kind == "atom":
+            v = 0
+            for i, mask in enumerate(masks):
+                if mask >> x & 1:
+                    v |= 1 << i
+        elif kind == "true":
+            v = full
+        elif kind == "false":
+            v = 0
+        elif kind == "not":
+            v = full ^ vals[x]
+        elif kind == "and":
+            v = vals[x] & vals[y]
+        elif kind == "or":
+            v = vals[x] | vals[y]
+        elif kind == "implies":
+            v = (full ^ vals[x]) | vals[y]
+        elif kind == "next":
+            v = vals[x] >> 1 | (vals[x] >> wrap & 1) << last
+        else:
+            # Fixpoints of v = g | (a & X v) (until, least) and
+            # v = g & (a | X v) (release, greatest); eventually and always
+            # fix a to true and false.  Starting from g, each round adds
+            # (resp. removes) a position or stops.
+            if kind == "until":
+                a, g, grow = vals[x], vals[y], True
+            elif kind == "release":
+                a, g, grow = vals[x], vals[y], False
+            elif kind == "eventually":
+                a, g, grow = full, vals[x], True
+            else:  # always
+                a, g, grow = 0, vals[x], False
+            v = g
+            while True:
+                nxt = v >> 1 | (v >> wrap & 1) << last
+                u = g | (a & nxt) if grow else g & (a | nxt)
+                if u == v:
+                    break
+                v = u
+        vals.append(v)
+    return vals[-1]
 
 
 def eval_on_lasso(f: LtlFormula, w: Lasso, m: ApLetterMap) -> bool:
     """Exact LTL truth of the infinite word induced by ``w`` at position 0."""
-    base = w.base
-    n = len(base)
-    wrap = len(w.stem)
-    masks = [m.mask_of(letter) for letter in base]
-    table: dict[LtlFormula, list[bool]] = {}
-
-    def values(g: LtlFormula) -> list[bool]:
-        got = table.get(g)
-        if got is not None:
-            return got
-        if g.kind == "atom":
-            bit = m.aps.index(g.name) if g.name in m.aps else None
-            if bit is None:
-                raise InputError(f"formula atom {g.name!r} missing from the AP map")
-            out = [bool(mask >> bit & 1) for mask in masks]
-        elif g.kind == "true":
-            out = [True] * n
-        elif g.kind == "false":
-            out = [False] * n
-        elif g.kind == "not":
-            out = [not v for v in values(g.operands[0])]
-        elif g.kind == "and":
-            av, bv = values(g.operands[0]), values(g.operands[1])
-            out = [a and b for a, b in zip(av, bv)]
-        elif g.kind == "or":
-            av, bv = values(g.operands[0]), values(g.operands[1])
-            out = [a or b for a, b in zip(av, bv)]
-        elif g.kind == "implies":
-            av, bv = values(g.operands[0]), values(g.operands[1])
-            out = [(not a) or b for a, b in zip(av, bv)]
-        elif g.kind == "next":
-            cv = values(g.operands[0])
-            out = [cv[i + 1 if i + 1 < n else wrap] for i in range(n)]
-        elif g.kind == "until":
-            out = _until_values(values(g.operands[0]), values(g.operands[1]), n, wrap)
-        elif g.kind == "release":
-            out = _release_values(values(g.operands[0]), values(g.operands[1]), n, wrap)
-        elif g.kind == "eventually":
-            out = _until_values([True] * n, values(g.operands[0]), n, wrap)
-        else:  # always
-            out = _release_values([False] * n, values(g.operands[0]), n, wrap)
-        table[g] = out
-        return out
-
-    return values(f)[0]
+    steps = f._programs.get(m.aps)
+    if steps is None:
+        steps = f._programs[m.aps] = _compile(f, m.aps)
+    masks = list(map(m.mask_of, w.base))
+    return bool(_run(steps, masks, len(w.stem)) & 1)
 
 
 def ltl_oracle(f: LtlFormula, m: ApLetterMap) -> MembershipOracle:
@@ -420,11 +450,11 @@ def ltl_oracle(f: LtlFormula, m: ApLetterMap) -> MembershipOracle:
     lock = threading.Lock()
 
     def oracle(w: Lasso) -> bool:
-        c = w.canonical()
-        key = (c.stem, c.loop)
+        key = _canonical_parts(w.stem, w.loop)
         with lock:
-            if key in cache:
-                return cache[key]
+            value = cache.get(key)
+        if value is not None:
+            return value
         value = eval_on_lasso(f, Lasso(*key), m)
         with lock:
             cache[key] = value

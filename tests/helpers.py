@@ -12,8 +12,10 @@ violated release its refutation, and so on.
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Optional
 
-from lassokit.core import Alphabet, Lasso, ParityAutomaton
+from lassokit.core import Alphabet, Lasso, MembershipOracle, ParityAutomaton
 from lassokit.ltl import ApLetterMap, LtlFormula, atom
 from lassokit import ltl
 
@@ -190,3 +192,85 @@ def in_omega(w: Lasso, k: int) -> bool:
         return False
     span = len(c.stem) + len(c.loop)
     return all(c.letter(i) == "1" for i in range(t + 1, span))
+
+
+def reference_safety(phi: MembershipOracle, alphabet: Alphabet, n: int) -> ParityAutomaton:
+    """The two-phase safety construction as first written: names built per
+    edge, two parallel dedup structures.  Kept as the reference that
+    ``constructions.build_safety_lasso_precise`` must reproduce exactly on
+    alphabets whose comma-joined letter names are unambiguous."""
+
+    def p1_name(prefix: tuple[str, ...]) -> str:
+        return "p1[%s]" % ",".join(prefix)
+
+    def p2_name(word: tuple[str, ...], ts: tuple[Optional[int], ...]) -> str:
+        marks = ",".join("-" if t is None else str(t) for t in ts)
+        return "p2[%s;%s]" % (",".join(word), marks)
+
+    def enter_phase2(word: tuple[str, ...]) -> tuple[Optional[int], ...]:
+        out = []
+        for i in range(1, n + 1):
+            w = Lasso(word[: i - 1], word[i - 1 :])
+            out.append(i if phi(w) else None)
+        return tuple(out)
+
+    transitions: dict[tuple[str, str], frozenset[str]] = {}
+    coloring: dict[str, int] = {}
+    states: list[str] = []
+    seen: set[str] = set()
+
+    def declare(name: str) -> None:
+        if name not in seen:
+            seen.add(name)
+            states.append(name)
+            coloring[name] = 0
+
+    start = p1_name(())
+    declare(start)
+    todo: deque[tuple[str, tuple]] = deque([("p1", ())])
+    visited: set[tuple] = {("p1", ())}
+    while todo:
+        kind, payload = todo.popleft()
+        if kind == "p1":
+            prefix = payload
+            src = p1_name(prefix)
+            for x in alphabet:
+                word = prefix + (x,)
+                if len(word) < n:
+                    dst_key = ("p1", word)
+                    dst = p1_name(word)
+                else:
+                    ts = enter_phase2(word)
+                    dst_key = ("p2", (word, ts))
+                    dst = p2_name(word, ts)
+                declare(dst)
+                transitions[(src, x)] = frozenset({dst})
+                if dst_key not in visited:
+                    visited.add(dst_key)
+                    todo.append(dst_key)
+        else:
+            word, ts = payload
+            src = p2_name(word, ts)
+            if all(t is None for t in ts):
+                continue
+            for x in alphabet:
+                nts = []
+                for i, t in enumerate(ts, start=1):
+                    if t is None or word[t - 1] != x:
+                        nts.append(None)
+                    elif t < n:
+                        nts.append(t + 1)
+                    else:
+                        nts.append(i)
+                nts_t = tuple(nts)
+                dst = p2_name(word, nts_t)
+                declare(dst)
+                transitions[(src, x)] = frozenset({dst})
+                key = ("p2", (word, nts_t))
+                if key not in visited:
+                    visited.add(key)
+                    todo.append(key)
+
+    return ParityAutomaton(
+        alphabet, tuple(states), frozenset({start}), transitions, coloring
+    )

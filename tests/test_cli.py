@@ -575,10 +575,6 @@ class TestPlumbing:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp file was cleaned up
 
-    def test_seed_accepted(self, run):
-        code, stdout, _ = run("--seed", "7", "family", "gf1")
-        assert code == 0 and "--BODY--" in stdout
-
     def test_corrupt_hoa_input(self, run, tmp_path):
         bad = tmp_path / "bad.hoa"
         bad.write_text("HOA: v1\nStates: 1\n")

@@ -25,7 +25,7 @@ from lassokit.families import fg_gf_dpa
 from lassokit.lassolab import automaton_oracle, check_lasso_precise, enumerate_bases
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
 
-from helpers import rand_formula
+from helpers import rand_formula, reference_safety, same_automaton
 
 AB = Alphabet(("a", "b"))
 
@@ -93,6 +93,50 @@ class TestBuildSafety:
             n = rng.choice((1, 2))
             a = build_safety_lasso_precise(phi, sigma, n)
             assert check_lasso_precise(a, phi, n, inclusion_bound=n + 2).ok
+
+
+class TestSafetyMatchesReference:
+    """The construction builds the same automaton as the reference copy in
+    tests/helpers.py: states in the same order, same names, same edges."""
+
+    @pytest.mark.parametrize("aps", [["p"], ["p", "q"]])
+    def test_ltl_oracle(self, aps):
+        rng = random.Random(31 + len(aps))
+        pmap = ApLetterMap.from_aps(aps)
+        sigma = Alphabet(pmap.letters)
+        for _ in range(10):
+            f = rand_formula(rng, aps, budget=rng.randint(1, 7))
+            for n in (1, 2, 3):
+                built = build_safety_lasso_precise(ltl_oracle(f, pmap), sigma, n)
+                ref = reference_safety(ltl_oracle(f, pmap), sigma, n)
+                assert same_automaton(built, ref), (str(f), n)
+
+    def test_automaton_oracle(self):
+        abc = Alphabet(("a", "b", "c"))
+        for alphabet, phi in ((AB, automaton_oracle(GFB)), (abc, only_a)):
+            for n in (1, 2, 3):
+                built = build_safety_lasso_precise(phi, alphabet, n)
+                assert same_automaton(built, reference_safety(phi, alphabet, n))
+
+
+class TestStateNames:
+    def test_comma_letters_do_not_collide(self):
+        # "a" and "a,a" joined with commas read alike: "a,a,a" is three
+        # letters or two.  The names must still tell the states apart.
+        sigma = Alphabet(("a", "a,a"))
+
+        def phi(w):
+            return w.letter(0) == "a" and w.letter(1) == "a,a"
+
+        a = build_safety_lasso_precise(phi, sigma, 3)
+        report = check_lasso_precise(a, phi, 3, inclusion_bound=4)
+        assert report.mismatches == [] and report.ok
+
+    def test_plain_letters_keep_their_names(self):
+        sigma = Alphabet(("x;", "[y]", "{p,q}"))
+        a = build_safety_lasso_precise(only_a, sigma, 2)
+        assert a.states[:3] == ("p1[]", "p1[x;]", "p1[[y]]")
+        assert "p2[x;,{p,q};-,-]" in a.states
 
 
 class TestBuechiToSafety:

@@ -109,6 +109,35 @@ class TestAutomatonValidation:
         with pytest.raises(InputError):
             dpa({("x", "a"): {"nope"}}, {"x": 0})
 
+    def test_undeclared_source(self):
+        with pytest.raises(InputError, match="undeclared state 'nope'"):
+            dpa({("nope", "a"): {"x"}}, {"x": 0})
+
+    def test_duplicate_states(self):
+        with pytest.raises(InputError, match="distinct"):
+            ParityAutomaton(AB, ("x", "x"), frozenset({"x"}), {}, {"x": 0})
+
+    def test_negative_color(self):
+        with pytest.raises(InputError, match="non-negative"):
+            dpa({}, {"x": -1})
+
+    def test_targets_normalized(self):
+        given = {
+            ("x", "a"): ["y", "x"],
+            ("x", "b"): {"y"},
+            ("y", "a"): [],
+            ("y", "b"): frozenset({"x"}),
+        }
+        a = ParityAutomaton(AB, ("x", "y"), frozenset({"x"}), given, {"x": 0, "y": 0})
+        assert a.transitions == {
+            ("x", "a"): frozenset({"x", "y"}),
+            ("x", "b"): frozenset({"y"}),
+            ("y", "b"): frozenset({"x"}),
+        }
+        assert all(type(t) is frozenset for t in a.transitions.values())
+        given[("y", "a")] = ["x"]
+        assert ("y", "a") not in a.transitions  # the automaton owns its table
+
     def test_coloring_must_cover_states(self):
         with pytest.raises(InputError):
             ParityAutomaton(AB, ("x", "y"), frozenset({"x"}), {}, {"x": 0})

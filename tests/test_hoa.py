@@ -83,6 +83,110 @@ class TestWrite:
             write_hoa(parity4(), ap_map=PQ)
 
 
+class TestGolden:
+    """Exact text of three small automata, one per labelling scheme."""
+
+    def test_nondeterministic_targets_in_state_order(self):
+        a = ParityAutomaton(
+            AB,
+            ("z", "m", "a"),
+            frozenset({"a", "z"}),
+            {
+                ("z", "a"): frozenset({"a", "m", "z"}),
+                ("m", "b"): frozenset({"a", "z"}),
+                ("a", "a"): frozenset({"a"}),
+                ("a", "b"): frozenset({"m", "z"}),
+            },
+            {"z": 1, "m": 2, "a": 1},
+        )
+        assert write_hoa(a, name="nondet") == """HOA: v1
+name: "nondet"
+States: 3
+Start: 0
+Start: 2
+Alphabet: 2 "a" "b"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+properties: trans-labels explicit-labels state-acc
+--BODY--
+State: 0 "z"
+[0] 0
+[0] 1
+[0] 2
+State: 1 "m" {0}
+[1] 0
+[1] 2
+State: 2 "a"
+[0] 2
+[1] 0
+[1] 1
+--END--
+"""
+
+    def test_raw_alphabet(self):
+        a = ParityAutomaton(
+            AB,
+            ("w", "g"),
+            frozenset({"w"}),
+            {
+                ("w", "a"): frozenset({"w"}),
+                ("w", "b"): frozenset({"g"}),
+                ("g", "b"): frozenset({"g"}),
+            },
+            {"w": 0, "g": 0},
+        )
+        assert write_hoa(a, comments=("safety",)) == """HOA: v1
+/* safety */
+States: 2
+Start: 0
+Alphabet: 2 "a" "b"
+acc-name: all
+Acceptance: 0 t
+properties: trans-labels explicit-labels state-acc deterministic
+--BODY--
+State: 0 "w"
+[0] 0
+[1] 1
+State: 1 "g"
+[1] 1
+--END--
+"""
+
+    def test_ap_labels(self):
+        e, p, q, pq = PQ.letters
+        a = ParityAutomaton(
+            PQ.alphabet,
+            ("c0", "c1", "c2"),
+            frozenset({"c0"}),
+            {
+                ("c0", e): frozenset({"c1"}),
+                ("c0", pq): frozenset({"c2"}),
+                ("c1", p): frozenset({"c0"}),
+                ("c1", q): frozenset({"c2"}),
+                ("c2", e): frozenset({"c2"}),
+            },
+            {"c0": 0, "c1": 1, "c2": 2},
+        )
+        assert write_hoa(a, ap_map=PQ) == """HOA: v1
+States: 3
+Start: 0
+AP: 2 "p" "q"
+acc-name: parity max even 3
+Acceptance: 3 Inf(2) | (Fin(1) & Inf(0))
+properties: trans-labels explicit-labels state-acc deterministic
+--BODY--
+State: 0 "c0" {0}
+[!0&!1] 1
+[0&1] 2
+State: 1 "c1" {1}
+[0&!1] 0
+[!0&1] 2
+State: 2 "c2" {2}
+[!0&!1] 2
+--END--
+"""
+
+
 class TestRoundTrip:
     def test_raw_alphabet_parity(self):
         a = parity4()

@@ -10,6 +10,7 @@ from lassokit.ltl import (
     conj,
     eval_on_lasso,
     eventually,
+    false,
     format_ltl,
     implies,
     ltl_oracle,
@@ -21,6 +22,7 @@ from lassokit.ltl import (
     true,
 )
 from lassokit.lassolab import unroll
+from lassokit import ltl
 
 from helpers import naive_eval, rand_formula, rand_lasso
 
@@ -143,6 +145,30 @@ class TestEvaluation:
             assert eval_on_lasso(f, w.canonical(), P) == v
             assert eval_on_lasso(f, unroll(w, w.length + 2), P) == v
 
+    def test_constants_and_three_aps_against_naive_oracle(self):
+        rng = random.Random(41)
+        pqr = ApLetterMap.from_aps(["p", "q", "r"])
+        for _ in range(600):
+            f = rand_formula(rng, ["p", "q", "r"], rng.randint(1, 9))
+            c = rng.choice((true(), false()))
+            f = rng.choice((f, conj(f, c), until(c, f), release(f, c), neg(until(f, c))))
+            w = rand_lasso(rng, pqr.alphabet, max_stem=4, max_loop=4)
+            assert eval_on_lasso(f, w, pqr) == naive_eval(f, w, pqr), (
+                format_ltl(f),
+                str(w),
+            )
+
+    def test_own_letter_names(self):
+        named = ApLetterMap(("p",), ("lo", "hi"))
+        f = parse_ltl("G F p & F !p", ["p"])
+        assert eval_on_lasso(f, lasso(("lo",), ("lo", "hi")), named)
+        assert not eval_on_lasso(f, lasso((), ("hi",)), named)
+        assert eval_on_lasso(f, lasso(("{}",), ("{}", "{p}")), P)
+
+    def test_missing_atom_rejected(self):
+        with pytest.raises(InputError):
+            eval_on_lasso(atom("q"), lasso("", ("{p}",)), P)
+
     def test_foreign_letter_rejected(self):
         with pytest.raises(InputError):
             eval_on_lasso(atom("p"), lasso("", "z"), P)
@@ -162,3 +188,26 @@ class TestOracle:
         a = Lasso((), ("{p}",))
         b = Lasso(("{p}",), ("{p}", "{p}"))
         assert oracle(a) and oracle(b)
+
+    def test_one_evaluation_per_canonical_lasso(self, monkeypatch):
+        # Misses go through the module-level eval_on_lasso, once per word.
+        seen = []
+        real = ltl.eval_on_lasso
+
+        def counted(f, w, m):
+            seen.append(w)
+            return real(f, w, m)
+
+        monkeypatch.setattr(ltl, "eval_on_lasso", counted)
+        oracle = ltl_oracle(parse_ltl("G F p", ["p"]), P)
+        e, p = P.letters
+        words = [
+            Lasso((), (p,)),
+            Lasso((p,), (p, p)),
+            Lasso((e,), (p,)),
+            Lasso((e, p), (p,)),
+            Lasso((), (e, p)),
+            Lasso((e,), (p, e)),
+        ]
+        assert [oracle(w) for w in words] == [True] * 6
+        assert seen == [Lasso((), (p,)), Lasso((e,), (p,)), Lasso((), (e, p))]
