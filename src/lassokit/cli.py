@@ -122,7 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="largest lasso base for the containment half",
     )
-    ck.add_argument("--jobs", type=int, default=1)
     ck.add_argument("--report", help="write the JSON report here")
     ck.set_defaults(handler=_cmd_check)
 
@@ -145,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="external QBF solver command (default: $LASSOKIT_QBF_SOLVER)",
     )
     sy.add_argument("--emit-qbf", dest="emit_qbf", help="dump the QDIMACS encoding")
-    sy.add_argument("--jobs", type=int, default=1)
     sy.add_argument("--out", default=None, help="write the witness automaton here")
     sy.add_argument("--dot", help="also write a DOT rendering here")
     sy.add_argument("--report", help="write a JSON result summary here")
@@ -336,9 +334,7 @@ def _cmd_check(args) -> int:
         if ref.alphabet.letters != a.alphabet.letters:
             raise InputError("reference and input alphabets differ")
         phi = automaton_oracle(ref)
-    report = check_lasso_precise(
-        a, phi, n, inclusion_bound=args.inclusion_bound, jobs=args.jobs
-    )
+    report = check_lasso_precise(a, phi, n, inclusion_bound=args.inclusion_bound)
     print(report.summary())
     if args.report:
         _write_text(args.report, report.to_json() + "\n")
@@ -368,7 +364,6 @@ def _cmd_synthesize(args) -> int:
             args.max_states,
             target=args.target,
             solver=solver,
-            jobs=args.jobs,
         )
         if found is None:
             print(f"UNSAT for all k <= {args.max_states}")
@@ -381,7 +376,7 @@ def _cmd_synthesize(args) -> int:
         q = SynthesisQuery(formula, amap, n, args.states, args.colors, args.target)
         if args.emit_qbf:
             _write_text(args.emit_qbf, emit_qdimacs(encode(q)))
-        witness = solve_query(q, solver=solver, jobs=args.jobs)
+        witness = solve_query(q, solver=solver)
         if witness is None:
             print("UNSAT")
             _write_result(args, "unsat", None, None)

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 
 class LassokitError(Exception):
@@ -358,30 +358,25 @@ def _sccs(nodes: list, succ: Mapping) -> list[list]:
     return result
 
 
-def _has_accepting_cycle(nodes: Iterable, edges: Mapping, color_of) -> bool:
-    """Max-even cycle test: scan colors from the top even color downward;
-    in the subgraph restricted to colors <= c, any SCC that contains a
-    color-c node and at least one internal edge witnesses acceptance."""
-    nodes = list(nodes)
+def _accepting_sccs(nodes: list, edges, color_of) -> Iterator[tuple[int, list]]:
+    """Max-even cycle sweep: for each even color c from the top downward,
+    yield (c, component) for every SCC of the subgraph restricted to colors
+    <= c that contains a color-c node and is non-trivial (more than one
+    node, or a self-loop).  Each such component holds an accepting cycle
+    through its color-c nodes, and the graph has an accepting cycle iff
+    some component is yielded.  ``edges[v]`` lists the successors of v."""
     if not nodes:
-        return False
-    top = max(color_of(v) for v in nodes)
+        return
+    top = max(map(color_of, nodes))
     for c in range(top - top % 2, -1, -2):
         sub = [v for v in nodes if color_of(v) <= c]
-        if not sub:
-            continue
         subset = set(sub)
-        sub_edges = {
-            v: [w for w in edges.get(v, ()) if w in subset] for v in sub
-        }
+        sub_edges = {v: [w for w in edges[v] if w in subset] for v in sub}
         for comp in _sccs(sub, sub_edges):
-            if not any(color_of(v) == c for v in comp):
+            if len(comp) == 1 and comp[0] not in sub_edges[comp[0]]:
                 continue
-            comp_set = set(comp)
-            if len(comp) > 1 or comp[0] in sub_edges.get(comp[0], ()):
-                if any(w in comp_set for v in comp for w in sub_edges[v]):
-                    return True
-    return False
+            if any(color_of(v) == c for v in comp):
+                yield c, comp
 
 
 def accepts_lasso(a: ParityAutomaton, w: Lasso) -> bool:
@@ -507,7 +502,8 @@ def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
                 seen.add(node)
                 todo.append(node)
         edges[(i, q)] = outs
-    return _has_accepting_cycle(seen, edges, lambda v: a.coloring[v[1]])
+    hit = _accepting_sccs(list(seen), edges, lambda v: a.coloring[v[1]])
+    return next(hit, None) is not None
 
 
 def find_accepting_lasso(
@@ -517,36 +513,35 @@ def find_accepting_lasso(
 
     The witness takes a shortest path to an accepting simple cycle and is
     cut at the first cycle contact, so stem and loop states are disjoint.
+    The search runs on state and letter indices in declaration order, so
+    the witness does not depend on set iteration order (string hashing).
     """
-    reach = reachable_states(a)
-    succ: dict[str, list[tuple[str, str]]] = {q: [] for q in reach}
-    for q in reach:
-        for x in a.alphabet:
-            for q2 in a.successors(q, x):
-                succ[q].append((x, q2))
-    if not reach:
+    index = {q: i for i, q in enumerate(a.states)}
+    colors = [a.coloring[q] for q in a.states]
+    succ = [
+        [
+            (x, t)
+            for x, letter in enumerate(a.alphabet.letters)
+            for t in sorted(map(index.__getitem__, a.successors(q, letter)))
+        ]
+        for q in a.states
+    ]
+    roots = sorted(map(index.__getitem__, a.initial))
+    reach = sorted(map(index.__getitem__, reachable_states(a)))
+    edges = [[t for _x, t in out] for out in succ]
+    hit = next(_accepting_sccs(reach, edges, colors.__getitem__), None)
+    if hit is None:
         return None
-    top = max(a.coloring[q] for q in reach)
-    for c in range(top - top % 2, -1, -2):
-        sub = {q for q in reach if a.coloring[q] <= c}
-        sub_edges = {q: [q2 for (_x, q2) in succ[q] if q2 in sub] for q in sub}
-        for comp in _sccs(list(sub), sub_edges):
-            comp_set = set(comp)
-            anchors = [q for q in comp if a.coloring[q] == c]
-            if not anchors:
-                continue
-            anchor = anchors[0]
-            cycle = _cycle_through(anchor, comp_set, succ)
-            if cycle is None:
-                continue
-            stem_path = _path_to_cycle(a, {s for s, _x in cycle}, succ)
-            return _assemble_witness(stem_path, cycle)
-    return None
+    c, comp = hit
+    anchor = next(v for v in comp if colors[v] == c)
+    cycle = _cycle_through(anchor, set(comp), succ)
+    stem_path = _path_to_cycle(roots, {s for s, _x in cycle}, succ)
+    return _assemble_witness(a, stem_path, cycle)
 
 
 def _cycle_through(anchor, comp_set, succ):
     """Simple cycle through anchor inside comp_set, as [(state, letter), ...]."""
-    parent: dict[str, tuple[str, str]] = {}
+    parent: dict[int, tuple[int, int]] = {}
     todo = deque()
     for x, q2 in succ[anchor]:
         if q2 not in comp_set:
@@ -572,17 +567,17 @@ def _cycle_through(anchor, comp_set, succ):
             if q2 not in parent:
                 parent[q2] = (q, x)
                 todo.append(q2)
-    return None
+    raise LassokitError("no cycle through the anchor of a non-trivial SCC")
 
 
-def _path_to_cycle(a, cycle_states, succ):
+def _path_to_cycle(roots, cycle_states, succ):
     """Shortest path from an initial state to the first cycle contact."""
-    for q0 in sorted(a.initial):
+    for q0 in roots:
         if q0 in cycle_states:
             return [(q0, None)]
-    parent: dict[str, tuple[str, str]] = {}
-    todo = deque(sorted(a.initial))
-    seen = set(a.initial)
+    parent: dict[int, tuple[int, int]] = {}
+    todo = deque(roots)
+    seen = set(roots)
     while todo:
         q = todo.popleft()
         for x, q2 in succ[q]:
@@ -602,16 +597,17 @@ def _path_to_cycle(a, cycle_states, succ):
     raise LassokitError("cycle unreachable despite reachability analysis")
 
 
-def _assemble_witness(stem_path, cycle):
+def _assemble_witness(a, stem_path, cycle):
+    """Name the run and word of an index-level stem path and cycle."""
     entry = stem_path[-1][0]
     k = next(i for i, (s, _x) in enumerate(cycle) if s == entry)
     rotated = cycle[k:] + cycle[:k]
-    stem_states = tuple(s for s, _x in stem_path[:-1])
-    stem_letters = tuple(x for _s, x in stem_path[:-1])
-    loop_states = tuple(s for s, _x in rotated)
-    loop_letters = tuple(x for _s, x in rotated)
-    run = RunLasso(stem_states + loop_states, len(stem_states))
-    return run, Lasso(stem_letters, loop_letters)
+    stem = stem_path[:-1]
+    letters = a.alphabet.letters
+    run = RunLasso(tuple(a.states[s] for s, _x in stem + rotated), len(stem))
+    return run, Lasso(
+        tuple(letters[x] for _s, x in stem), tuple(letters[x] for _s, x in rotated)
+    )
 
 
 def is_empty(a: ParityAutomaton) -> bool:

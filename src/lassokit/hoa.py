@@ -27,8 +27,13 @@ class HoaDocument:
     name: Optional[str]
 
 
+def _escape(s: str) -> str:
+    """Backslash-escape for double-quoted strings in HOA and DOT."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(s: str) -> str:
-    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % _escape(s)
 
 
 def _acceptance_formula(colors: int) -> str:
@@ -129,12 +134,16 @@ def _letter_label(letter_index: int, letter: str, ap_map: Optional[ApLetterMap])
 
 
 class _LabelParser:
-    """Boolean label expressions over AP indices: ! & | ( ) t f INT."""
+    """Boolean label expressions over AP indices: ! & | ( ) t f INT.
 
-    def __init__(self, text: str, line: int):
+    Every index must be below ``atoms`` (the AP or letter count), also
+    where evaluation would short-circuit past it."""
+
+    def __init__(self, text: str, line: int, atoms: int):
         self.text = text
         self.pos = 0
         self.line = line
+        self.atoms = atoms
 
     def fail(self, msg: str):
         raise ParseError(f"line {self.line}: bad label [{self.text}]: {msg}")
@@ -203,28 +212,24 @@ class _LabelParser:
             while j < len(self.text) and self.text[j].isdigit():
                 j += 1
             v = int(self.text[self.pos : j])
+            if v >= self.atoms:
+                self.fail(f"index {v} out of range")
             self.pos = j
             return ("ap", v)
         self.fail(f"unexpected character {c!r}")
 
 
-def _eval_label(e, mask: int, ap_count: int, line: int) -> bool:
+def _eval_label(e, mask: int) -> bool:
     kind = e[0]
     if kind == "const":
         return e[1]
     if kind == "ap":
-        if e[1] >= ap_count:
-            raise ParseError(f"line {line}: AP index {e[1]} out of range")
         return bool(mask >> e[1] & 1)
     if kind == "not":
-        return not _eval_label(e[1], mask, ap_count, line)
+        return not _eval_label(e[1], mask)
     if kind == "and":
-        return _eval_label(e[1], mask, ap_count, line) and _eval_label(
-            e[2], mask, ap_count, line
-        )
-    return _eval_label(e[1], mask, ap_count, line) or _eval_label(
-        e[2], mask, ap_count, line
-    )
+        return _eval_label(e[1], mask) and _eval_label(e[2], mask)
+    return _eval_label(e[1], mask) or _eval_label(e[2], mask)
 
 
 _COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
@@ -385,6 +390,7 @@ def parse_hoa(text: str) -> HoaDocument:
     transitions: dict[tuple[int, int], set[int]] = {}
     current: Optional[int] = None
     implicit_at = 0
+    atoms = len(alphabet) if ap_map is None else len(ap_map.aps)
     for no in range(body_at + 1, len(lines) + 1):
         line = lines[no - 1].strip()
         if not line:
@@ -402,7 +408,7 @@ def parse_hoa(text: str) -> HoaDocument:
             close = line.find("]")
             if close < 0:
                 raise ParseError(f"line {no}: unterminated label")
-            label = _LabelParser(line[1:close], no).parse()
+            label = _LabelParser(line[1:close], no, atoms).parse()
             rest = line[close + 1 :].strip()
             letters = _label_letters(label, alphabet, ap_map, no)
         else:
@@ -508,9 +514,8 @@ def _parse_edge_targets(rest: str, no: int, n_states: int) -> list[int]:
 def _label_letters(label, alphabet, ap_map, no) -> list[int]:
     out = []
     if ap_map is not None:
-        ap_count = len(ap_map.aps)
         for li, x in enumerate(alphabet):
-            if _eval_label(label, ap_map.mask_of(x), ap_count, no):
+            if _eval_label(label, ap_map.mask_of(x)):
                 out.append(li)
     else:
         # Raw alphabets admit index atoms and t/f only; Boolean structure
@@ -526,8 +531,6 @@ def _index_label_letters(label, n_letters: int, no: int):
             yield from range(n_letters)
         return
     if kind == "ap":
-        if label[1] >= n_letters:
-            raise ParseError(f"line {no}: letter index {label[1]} out of range")
         yield label[1]
         return
     if kind == "or":
@@ -575,7 +578,7 @@ def to_dot(a: ParityAutomaton) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;"]
     for q in a.states:
         shape = "doublecircle" if a.coloring[q] % 2 == 0 else "circle"
-        label = f"{q}\\n{a.coloring[q]}"
+        label = f"{_escape(q)}\\n{a.coloring[q]}"
         lines.append(f'  n{index[q]} [label="{label}", shape={shape}];')
     for i, q in enumerate(sorted(a.initial, key=index.__getitem__)):
         lines.append(f"  init{i} [shape=point];")
@@ -583,6 +586,6 @@ def to_dot(a: ParityAutomaton) -> str:
     for q in a.states:
         for x in a.alphabet:
             for t in sorted(a.successors(q, x), key=index.__getitem__):
-                lines.append(f'  n{index[q]} -> n{index[t]} [label="{x}"];')
+                lines.append(f'  n{index[q]} -> n{index[t]} [label="{_escape(x)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -97,17 +96,6 @@ class PrecisionReport:
     def ok(self) -> bool:
         return not self.mismatches and not self.inclusion_violations
 
-    def merge(self, other: "PrecisionReport") -> "PrecisionReport":
-        if (self.n, self.inclusion_bound) != (other.n, other.inclusion_bound):
-            raise InputError("cannot merge reports with different bounds")
-        out = PrecisionReport(self.n, self.inclusion_bound)
-        out.checked_equal = self.checked_equal + other.checked_equal
-        out.checked_inclusion = self.checked_inclusion + other.checked_inclusion
-        out.exact_inclusion = self.exact_inclusion or other.exact_inclusion
-        out.mismatches = self.mismatches + other.mismatches
-        out.inclusion_violations = self.inclusion_violations + other.inclusion_violations
-        return out
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -155,12 +143,13 @@ def default_inclusion_bound(a: ParityAutomaton, n: int) -> int:
     return max(n, a.size)
 
 
-def _scan(a, phi, n, words) -> PrecisionReport:
-    """Check the lassos of the given words (letter indices), in (word,
-    split) order; a Lasso is only built when the oracle is consulted."""
+def _scan(a, phi, n, bound) -> PrecisionReport:
+    """Check the lassos of every word (letter indices) of length 1..bound,
+    in (word, split) order; a Lasso is only built when the oracle is
+    consulted."""
     letters = a.alphabet.letters
-    report = PrecisionReport(0, 0)  # bounds fixed up by caller before merge
-    for word in words:
+    report = PrecisionReport(n, bound)
+    for word in words_by_length(range(len(letters)), 1, bound):
         verdicts = accepts_splits(a, word)
         if len(word) == n:
             report.checked_equal += n
@@ -188,7 +177,6 @@ def check_lasso_precise(
     phi: MembershipOracle,
     n: int,
     inclusion_bound: Optional[int] = None,
-    jobs: int = 1,
     reference: Optional[ParityAutomaton] = None,
 ) -> PrecisionReport:
     """Compare ``a`` against the oracle on all lassos of base length n
@@ -200,9 +188,7 @@ def check_lasso_precise(
     safety automaton.  Otherwise it is tested exhaustively on all bases up
     to the inclusion bound, which defaults to max(n, |a|); callers checking
     a large automaton against a bare oracle should pass a bound that they
-    can afford.  ``jobs`` splits the enumeration into chunks evaluated on a
-    thread pool and merged in order.  The threads share the interpreter
-    lock, so they give no speedup.
+    can afford.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
@@ -220,23 +206,10 @@ def check_lasso_precise(
     if bound < n:
         raise InputError("inclusion bound must be at least the precision bound")
 
-    words = words_by_length(range(len(a.alphabet)), 1, bound)
-    if jobs <= 1:
-        parts = [_scan(a, phi, n, words)]
-    else:
-        work = list(words)
-        chunk = max(1, len(work) // jobs)
-        slices = [work[i : i + chunk] for i in range(0, len(work), chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda s: _scan(a, phi, n, s), slices))
-
-    total = PrecisionReport(n, bound)
-    for p in parts:
-        p.n, p.inclusion_bound = n, bound
-        total = total.merge(p)
+    report = _scan(a, phi, n, bound)
     if exact:
-        total.exact_inclusion = True
+        report.exact_inclusion = True
         included, witness = check_inclusion_exact(a, ref_auto)
         if not included:
-            total.inclusion_violations.append(witness)
-    return total
+            report.inclusion_violations.append(witness)
+    return report

@@ -7,7 +7,6 @@ compared over the same alphabet.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -441,23 +440,18 @@ def eval_on_lasso(f: LtlFormula, w: Lasso, m: ApLetterMap) -> bool:
 
 
 def ltl_oracle(f: LtlFormula, m: ApLetterMap) -> MembershipOracle:
-    """Membership oracle for L(f) with a thread-safe cache.
+    """Membership oracle for L(f) with a cache.
 
     Lassos are cached by canonical form, so representations of the same
     infinite word share one evaluation.
     """
     cache: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
-    lock = threading.Lock()
 
     def oracle(w: Lasso) -> bool:
         key = _canonical_parts(w.stem, w.loop)
-        with lock:
-            value = cache.get(key)
-        if value is not None:
-            return value
-        value = eval_on_lasso(f, Lasso(*key), m)
-        with lock:
-            cache[key] = value
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = eval_on_lasso(f, Lasso(*key), m)
         return value
 
     return oracle

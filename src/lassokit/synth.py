@@ -23,8 +23,6 @@ import re
 import shlex
 import subprocess
 import tempfile
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -673,7 +671,6 @@ def search_lasso_precise(
     m: int,
     target: str = "deterministic",
     ceiling: int = DEFAULT_SEARCH_CEILING,
-    jobs: int = 1,
     inclusion_bound: Optional[int] = None,
 ) -> Optional[ParityAutomaton]:
     """Enumerate k-state, m-color automata over the alphabet and return the
@@ -711,33 +708,18 @@ def search_lasso_precise(
     ]
     # Only candidates that pass equality read the inclusion words, so the
     # list is built the first time one does.
-    inclusion = _once(
+    inclusion = functools.cache(
         lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
     )
 
     if target == "deterministic":
-        return _scan_deterministic(alphabet, phi, k, m, equality, inclusion, jobs)
+        return _scan_deterministic(alphabet, phi, k, m, equality, inclusion)
     return _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion)
 
 
 def _lasso_of(alphabet: Alphabet, word, split: int) -> Lasso:
     named = tuple(alphabet[x] for x in word)
     return Lasso(named[:split], named[split:])
-
-
-def _once(build):
-    """Getter that calls ``build`` on first use and then returns its result;
-    safe to share between threads."""
-    lock = threading.Lock()
-    box = []
-
-    def get():
-        with lock:
-            if not box:
-                box.append(build())
-            return box[0]
-
-    return get
 
 
 def _is_precise(verdicts_of, alphabet, phi, equality, inclusion) -> bool:
@@ -780,49 +762,18 @@ def _build_det(alphabet: Alphabet, table, mu, k: int) -> ParityAutomaton:
     )
 
 
-def _scan_deterministic(alphabet, phi, k, m, equality, inclusion, jobs):
+def _scan_deterministic(alphabet, phi, k, m, equality, inclusion):
     S = len(alphabet)
-    total = (k + 1) ** (k * S)
-    stop = threading.Event()
-
-    def test_table(table) -> Optional[ParityAutomaton]:
+    for idx in range((k + 1) ** (k * S)):
+        table = _decode_det_table(idx, k, S)
         reach = _canonical_reach(table, k, S)
         if reach is None:
-            return None
+            continue
         for mu_r in itertools.product(range(m), repeat=reach):
             mu = mu_r + (0,) * (k - reach)
             verdicts_of = functools.partial(det_split_verdicts, table, mu, S, 0)
             if _is_precise(verdicts_of, alphabet, phi, equality, inclusion):
                 return _build_det(alphabet, table, mu, k)
-        return None
-
-    def scan_range(lo: int, hi: int) -> Optional[ParityAutomaton]:
-        for idx in range(lo, hi):
-            if stop.is_set():
-                return None
-            got = test_table(_decode_det_table(idx, k, S))
-            if got is not None:
-                return got
-        return None
-
-    if jobs <= 1:
-        return scan_range(0, total)
-    chunk = max(1, total // (jobs * 4))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(scan_range, lo, min(lo + chunk, total))
-            for lo in range(0, total, chunk)
-        ]
-        try:
-            # ranges are in index order, so the first hit read is the lowest
-            for fut in futures:
-                got = fut.result()
-                if got is not None:
-                    return got
-        finally:
-            stop.set()
-            for fut in futures:
-                fut.cancel()
     return None
 
 
@@ -858,7 +809,6 @@ def _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion):
 def brute_force_search(
     q: SynthesisQuery,
     ceiling: int = DEFAULT_SEARCH_CEILING,
-    jobs: int = 1,
 ) -> Optional[ParityAutomaton]:
     """Enumerate candidate automata for the query directly.
 
@@ -874,7 +824,6 @@ def brute_force_search(
         q.m,
         target=q.target,
         ceiling=ceiling,
-        jobs=jobs,
     )
 
 
@@ -988,7 +937,6 @@ def synthesize_minimal(
     solver: Optional[str] = None,
     expansion_limit: int = DEFAULT_EXPANSION_LIMIT,
     search_ceiling: int = DEFAULT_SEARCH_CEILING,
-    jobs: int = 1,
 ) -> Optional[tuple[int, ParityAutomaton]]:
     """Smallest state budget in 1..k_max admitting a lasso-precise
     underapproximation, with its witness automaton.
@@ -1002,7 +950,7 @@ def synthesize_minimal(
         raise InputError("state budget must be positive")
     for k in range(1, k_max + 1):
         q = SynthesisQuery(formula, ap_map, n, k, m, target)
-        a = solve_query(q, solver, expansion_limit, search_ceiling, jobs)
+        a = solve_query(q, solver, expansion_limit, search_ceiling)
         if a is None:
             continue
         report = verify_certificate(q, a)
@@ -1020,7 +968,6 @@ def solve_query(
     solver: Optional[str] = None,
     expansion_limit: int = DEFAULT_EXPANSION_LIMIT,
     search_ceiling: int = DEFAULT_SEARCH_CEILING,
-    jobs: int = 1,
 ) -> Optional[ParityAutomaton]:
     """Decide one query and produce a witness automaton or None.
 
@@ -1036,7 +983,7 @@ def solve_query(
         if model is not None:
             return decode(p, model)
         # verdict-only solver: materialize a witness by enumeration
-        a = brute_force_search(q, ceiling=search_ceiling, jobs=jobs)
+        a = brute_force_search(q, ceiling=search_ceiling)
         if a is None:
             raise SolverFailure(
                 "external solver reported SAT but no witness could be"
@@ -1048,4 +995,4 @@ def solve_query(
         model = solve_by_expansion(p, expansion_limit)
         return decode(p, model) if model is not None else None
     except ResourceLimit:
-        return brute_force_search(q, ceiling=search_ceiling, jobs=jobs)
+        return brute_force_search(q, ceiling=search_ceiling)

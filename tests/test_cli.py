@@ -1,9 +1,12 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import lassokit
 from lassokit.cli import main
 from lassokit.core import accepts_lasso, is_deterministic, is_safety
 from lassokit.hoa import parse_hoa
@@ -273,12 +276,47 @@ State: 0 "s"
         )
         assert code == 2
 
-    def test_jobs(self, run, tmp_path):
+    def test_exact_inclusion_witness_ignores_hash_seed(self, tmp_path):
+        # find_accepting_lasso once walked sets of state names, so the
+        # witness it reports followed string hashing.
+        (tmp_path / "s.hoa").write_text(
+            "HOA: v1\nStates: 2\nStart: 1\nAlphabet: 2 \"a\" \"b\"\n"
+            "acc-name: all\nAcceptance: 0 t\n--BODY--\n"
+            'State: 0 "s0"\n[1] 0\n[1] 1\nState: 1 "s1"\n[0] 0\n[0] 1\n--END--\n'
+        )
+        (tmp_path / "r.hoa").write_text(
+            "HOA: v1\nStates: 1\nStart: 0\nAlphabet: 2 \"a\" \"b\"\n"
+            "acc-name: Buchi\nAcceptance: 1 Inf(0)\n--BODY--\n"
+            'State: 0 "r0"\n[t] 0\n--END--\n'
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lassokit.__file__)))
+        outputs = set()
+        for seed in range(4):
+            report = tmp_path / f"r{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from lassokit.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "check", "--in", "s.hoa", "--ref", "r.hoa", "--bound", "1",
+                 "--report", report.name],
+                cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.add((proc.stdout, report.read_text()))
+        assert len(outputs) == 1
+        assert "accepted outside language: (, a)" in outputs.pop()[0]
+
+    def test_jobs_option_is_gone(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)
-        code, stdout, _ = run(
+        code, _, _ = run(
             "check", "--in", str(auto), "--ltl", "G p", "--bound", "2", "--jobs", "3"
         )
-        assert code == 0 and "verdict: ok" in stdout
+        assert code == 2
+        code, _, _ = run(
+            "synthesize", "--ltl", "G p", "--bound", "1", "--states", "1",
+            "--colors", "1", "--jobs", "2",
+        )
+        assert code == 2
 
 
 class TestSynthesize:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -349,11 +350,15 @@ class TestParseErrors:
             {"start": "Start: 0&1"},
             {"version": 'HOA: v1\nAlias: @x 0'},
             {"states": "States: 1\nStates: 1"},
+            {"alphabet": 'AP: 1 "p"', "edge": "[f & 5] 0"},
+            {"alphabet": 'AP: 1 "p"', "edge": "[t | 7] 0"},
         ],
     )
     def test_rejected(self, swap):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_hoa(_minimal(**swap))
+        if "state" in swap or "edge" in swap:
+            assert re.match(r"line \d+: ", str(err.value))
 
     def test_ap_and_alphabet_exclusive(self):
         with pytest.raises(ParseError, match="exclusive"):
@@ -387,3 +392,9 @@ class TestDot:
         assert out.count("doublecircle") == 2  # colors 0 and 2
         assert 'n0 -> n1 [label="a"];' in out
         assert "init0 -> n0;" in out
+
+    def test_quotes_and_backslashes_escaped(self):
+        text = _minimal(state='State: 0 "a\\"b\\\\c"')
+        a = parse_hoa(text).automaton
+        assert a.states == ('a"b\\c',)
+        assert 'n0 [label="a\\"b\\\\c\\n0", shape=doublecircle];' in to_dot(a)

@@ -34,7 +34,7 @@ from lassokit.synth import (
     verify_certificate,
 )
 
-from helpers import rand_formula, same_automaton
+from helpers import rand_formula
 
 P1 = ApLetterMap.from_aps(["p"])
 P2 = ApLetterMap.from_aps(["p", "q"])
@@ -274,17 +274,6 @@ class TestBruteForce:
             if via_enum is not None:
                 assert verify_certificate(q, via_enum).ok
                 assert verify_certificate(q, via_sat).ok
-
-    def test_jobs_pick_the_same_witness(self):
-        q = q_of("G F p", 2, 2, 1)
-        one = brute_force_search(q)
-        four = brute_force_search(q, jobs=4)
-        assert same_automaton(one, four)
-
-    def test_jobs_agree_on_unsat(self):
-        q = q_of("F G p", 2, 1, 1)
-        assert brute_force_search(q) is None
-        assert brute_force_search(q, jobs=3) is None
 
     def test_inclusion_words_built_once_and_only_when_needed(self, monkeypatch):
         from lassokit import synth
