@@ -9,6 +9,7 @@ under-approximation between two complementations.
 from __future__ import annotations
 
 from collections import deque
+from itertools import product
 from typing import Union
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     Lasso,
     MembershipOracle,
     ParityAutomaton,
+    _canonical_parts,
     complement_dpa,
     complete_with_sink,
     is_buchi,
@@ -46,13 +48,14 @@ def color_reduction_state_bound(a: ParityAutomaton, n: int, m_prime: int) -> int
 def _letter_tokens(alphabet: Alphabet) -> tuple[str, ...]:
     """How each letter is spelled inside a state name.
 
-    Names join letters with commas.  When no letter plus a comma is a
-    prefix of another letter plus a comma, a joined string splits into
-    letters one way only, so letters keep their own names; otherwise
-    (say ``a`` and ``a,a``) they are spelled by their index.
+    Names join letters with commas and loops with ``|``.  When no letter
+    plus a separator is a prefix of another letter plus a separator, a
+    name splits into letters and loops one way only, so letters keep their
+    own names; otherwise (say ``a`` and ``a,a``, or ``a`` and ``a|b``)
+    they are spelled by their index.
     """
     # In sorted order a code that prefixes another prefixes its successor.
-    codes = sorted(x + "," for x in alphabet)
+    codes = sorted(x + sep for x in alphabet for sep in ",|")
     if any(d.startswith(c) for c, d in zip(codes, codes[1:])):
         return tuple(str(i) for i in range(len(alphabet)))
     return alphabet.letters
@@ -61,89 +64,130 @@ def _letter_tokens(alphabet: Alphabet) -> tuple[str, ...]:
 def build_safety_lasso_precise(
     phi: MembershipOracle, alphabet: Alphabet, n: int
 ) -> ParityAutomaton:
-    """Deterministic safety automaton that is n-lasso-precise for ``phi``.
+    """Minimal deterministic safety automaton that is n-lasso-precise for
+    ``phi``.
 
-    Phase one stores the first n letters.  At the phase boundary the oracle
-    is asked, once per split position, whether the stored word closed at
-    that position belongs to the language; phase two then advances one loop
-    pointer per still-viable split and kills the run once all pointers die.
+    Phase one reads the first n letters.  For the word w read, the oracle
+    is asked, once per split k < n, whether the lasso ``(w[:k], w[k:])``
+    belongs to the language.  From then on a run can only follow one of
+    the periodic words ``w[k:]^ω`` of an accepted split, so a phase-two
+    state is the set of their primitive roots, each rotated to the letter
+    it expects next: on letter x the set keeps the loops that start with
+    x, rotated by one.  That set spells out the state's residual language,
+    so distinct sets are distinct languages; an empty set is a missing
+    edge.  Phase one is hash-consed bottom-up on rows of successor ids, in
+    one table that starts out holding the phase-two rows, and a prefix
+    whose successors are all missing is itself missing.  Every state thus
+    accepts its own non-empty language and the result is the minimal
+    deterministic automaton of the approximation.  When the approximation
+    is empty, that is one state without edges.
 
-    States are explored breadth first and keyed by ``("p1", prefix)`` or
-    ``("p2", (word, pointers))``, where pointer i holds the position its
-    split expects next (1-based) or 0 once dead.  A state is named once,
-    when first met: ``p1[a,b]`` or ``p2[a,b;2,-]``.
+    States are numbered breadth first from the initial state, in letter
+    order.  A phase-one state is named by the first prefix that reaches it
+    (``p1[a,b]``), a phase-two state by its sorted loops (``p2[a,b|b]``).
+    Loops and rows are keyed by letter indices, so the output does not
+    depend on string hashing.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
     letters = alphabet.letters
-    spell = dict(zip(letters, _letter_tokens(alphabet)))
-    marks = ("-",) + tuple(str(t) for t in range(1, n + 1))
-    dead = (0,) * n
+    S = len(letters)
 
-    def enter_phase2(word: tuple[str, ...]) -> tuple[int, ...]:
-        # Pointer i (1-based) survives iff the stored word, looped from
-        # position i, induces a word of the language.
-        return tuple(
-            i if phi(Lasso(word[: i - 1], word[i - 1 :])) else 0
-            for i in range(1, n + 1)
-        )
+    # Loops are interned one rotation class at a time: loop l starts with
+    # letter first[l] and turns into loop turn[l] once that letter is read.
+    loops: list[tuple[int, ...]] = []
+    loop_id: dict[tuple[int, ...], int] = {}
+    first: list[int] = []
+    turn: list[int] = []
 
-    transitions: dict[tuple[str, str], frozenset[str]] = {}
-    states: list[str] = []
-    # state key -> the singleton target set {name}, shared by every edge into it
-    target: dict[tuple, frozenset[str]] = {}
-    # (key, name, "p2[<word>;" for phase-two states)
-    todo: deque[tuple[tuple, str, str]] = deque()
+    def intern(v: tuple[int, ...]) -> int:
+        got = loop_id.get(v)
+        if got is None:
+            got, m = len(loops), len(v)
+            for i in range(m):
+                r = v[i:] + v[:i]
+                loop_id[r] = got + i
+                loops.append(r)
+                first.append(r[0])
+                turn.append(got + (i + 1) % m)
+        return got
 
-    def visit(key: tuple, name: str, head: str = "") -> frozenset[str]:
-        dst = target[key] = frozenset((name,))
-        states.append(name)
-        todo.append((key, name, head))
-        return dst
+    # Phase two: one id per non-empty loop set, -1 for the empty one.
+    sets: list[frozenset[int]] = []
+    set_id: dict[frozenset[int], int] = {}
 
-    start = "p1[]"
-    visit(("p1", ()), start)
-    while todo:
-        (kind, payload), src, head = todo.popleft()
-        if kind == "p1":
-            for x in letters:
-                word = payload + (x,)
-                if len(word) < n:
-                    key = ("p1", word)
-                    dst = target.get(key) or visit(
-                        key, "p1[%s]" % ",".join(spell[y] for y in word)
-                    )
-                else:
-                    ts = enter_phase2(word)
-                    key = ("p2", (word, ts))
-                    wh = "p2[%s;" % ",".join(spell[y] for y in word)
-                    dst = target.get(key) or visit(
-                        key, wh + ",".join(map(marks.__getitem__, ts)) + "]", wh
-                    )
-                transitions[(src, x)] = dst
-            continue
-        word, ts = payload
-        if not any(ts):
-            continue  # every loop hypothesis failed: reject from here
-        # Only the letters some live pointer expects keep a pointer alive.
-        moves: dict[str, list[int]] = {}
-        for i, t in enumerate(ts, start=1):
-            if t:
-                nts = moves.get(word[t - 1])
-                if nts is None:
-                    nts = moves[word[t - 1]] = [0] * n
-                nts[i - 1] = t + 1 if t < n else i
-        for x in letters:
-            nts = moves.get(x)
-            key = ("p2", (word, dead if nts is None else tuple(nts)))
-            dst = target.get(key) or visit(
-                key, head + ",".join(map(marks.__getitem__, key[1][1])) + "]", head
+    def state_of(key: frozenset[int]) -> int:
+        if not key:
+            return -1
+        got = set_id.get(key)
+        if got is None:
+            got = set_id[key] = len(sets)
+            sets.append(key)
+        return got
+
+    level = []  # ids of the words of length n, in lexicographic order
+    for w in product(range(S), repeat=n):
+        word = tuple(map(letters.__getitem__, w))
+        level.append(state_of(frozenset(
+            intern(_canonical_parts((), w[k:])[1])
+            for k in range(n)
+            if phi(Lasso(word[:k], word[k:]))
+        )))
+    rows: list[tuple[int, ...]] = []  # successor id per letter, by state id
+    for key in sets:  # grows while phase-two successors are met
+        moves: list[list[int]] = [[] for _ in range(S)]
+        for l in key:
+            moves[first[l]].append(turn[l])
+        rows.append(tuple(state_of(frozenset(m)) for m in moves))
+    phase_two = len(sets)
+
+    # Phase one, from depth n-1 up to the empty prefix.
+    row_id = {row: q for q, row in enumerate(rows)}
+    for _depth in range(n):
+        up = []
+        for j in range(0, len(level), S):
+            row = tuple(level[j : j + S])
+            if max(row) < 0:
+                up.append(-1)
+                continue
+            q = row_id.get(row)
+            if q is None:
+                q = row_id[row] = len(rows)
+                rows.append(row)
+            up.append(q)
+        level = up
+    (start,) = level
+    if start < 0:
+        return ParityAutomaton(alphabet, ("p1[]",), frozenset({"p1[]"}), {}, {"p1[]": 0})
+
+    spell = _letter_tokens(alphabet)
+    prefix = {start: ()}
+    order = [start]
+    for q in order:  # breadth first; order grows as states are met
+        for x, t in enumerate(rows[q]):
+            if t >= 0 and t not in prefix:
+                prefix[t] = prefix[q] + (x,)
+                order.append(t)
+    name = {}
+    for q in order:
+        if q < phase_two:
+            body = "|".join(
+                ",".join(map(spell.__getitem__, v))
+                for v in sorted(map(loops.__getitem__, sets[q]))
             )
-            transitions[(src, x)] = dst
-
+            name[q] = "p2[%s]" % body
+        else:
+            name[q] = "p1[%s]" % ",".join(map(spell.__getitem__, prefix[q]))
+    target = {q: frozenset((name[q],)) for q in order}
+    transitions = {
+        (name[q], letters[x]): target[t]
+        for q in order
+        for x, t in enumerate(rows[q])
+        if t >= 0
+    }
+    states = tuple(map(name.__getitem__, order))
     out = ParityAutomaton(
-        alphabet, tuple(states), frozenset({start}), transitions,
-        dict.fromkeys(states, 0),
+        alphabet, states, target[start], transitions, dict.fromkeys(states, 0)
     )
     assert out.size <= safety_state_bound(len(alphabet), n)
     return out

@@ -658,36 +658,41 @@ def product_safety(s: ParityAutomaton, a: ParityAutomaton) -> ParityAutomaton:
     if s.alphabet.letters != a.alphabet.letters:
         raise InputError("product requires identical alphabets")
 
-    def name(p: str, q: str) -> str:
-        return f"({p},{q})"
+    # Product states are index pairs, named by those indices: joining the
+    # component names could give two pairs one name.
+    s_index = {p: i for i, p in enumerate(s.states)}
+    a_index = {q: j for j, q in enumerate(a.states)}
 
-    initial = {(p, q) for p in s.initial for q in a.initial}
+    def name(pair: tuple[int, int]) -> str:
+        return "(%d,%d)" % pair
+
+    initial = {(s_index[p], a_index[q]) for p in s.initial for q in a.initial}
     seen = set(initial)
     todo = deque(initial)
     transitions: dict[tuple[str, str], frozenset[str]] = {}
     while todo:
-        p, q = todo.popleft()
+        pair = todo.popleft()
+        p, q = s.states[pair[0]], a.states[pair[1]]
         for x in s.alphabet:
             targets = {
-                (p2, q2)
+                (s_index[p2], a_index[q2])
                 for p2 in s.successors(p, x)
                 for q2 in a.successors(q, x)
             }
             if not targets:
                 continue
-            transitions[(name(p, q), x)] = frozenset(name(p2, q2) for p2, q2 in targets)
+            transitions[(name(pair), x)] = frozenset(map(name, targets))
             for t in targets:
                 if t not in seen:
                     seen.add(t)
                     todo.append(t)
-    states = tuple(sorted(name(p, q) for p, q in seen))
-    coloring = {name(p, q): a.coloring[q] for p, q in seen}
+    pairs = sorted(seen)
     return ParityAutomaton(
         s.alphabet,
-        states,
-        frozenset(name(p, q) for p, q in initial),
+        tuple(map(name, pairs)),
+        frozenset(map(name, initial)),
         transitions,
-        coloring,
+        {name(pair): a.coloring[a.states[pair[1]]] for pair in pairs},
     )
 
 

@@ -15,7 +15,13 @@ import random
 from collections import deque
 from typing import Optional
 
-from lassokit.core import Alphabet, Lasso, MembershipOracle, ParityAutomaton
+from lassokit.core import (
+    Alphabet,
+    Lasso,
+    MembershipOracle,
+    ParityAutomaton,
+    reachable_states,
+)
 from lassokit.ltl import ApLetterMap, LtlFormula, atom
 from lassokit import ltl
 
@@ -195,10 +201,10 @@ def in_omega(w: Lasso, k: int) -> bool:
 
 
 def reference_safety(phi: MembershipOracle, alphabet: Alphabet, n: int) -> ParityAutomaton:
-    """The two-phase safety construction as first written: names built per
-    edge, two parallel dedup structures.  Kept as the reference that
-    ``constructions.build_safety_lasso_precise`` must reproduce exactly on
-    alphabets whose comma-joined letter names are unambiguous."""
+    """The two-phase safety construction of the paper, as first written:
+    phase-two states are (word, loop pointers), names are built per edge.
+    Kept as the reference whose language
+    ``constructions.build_safety_lasso_precise`` must accept."""
 
     def p1_name(prefix: tuple[str, ...]) -> str:
         return "p1[%s]" % ",".join(prefix)
@@ -274,3 +280,70 @@ def reference_safety(phi: MembershipOracle, alphabet: Alphabet, n: int) -> Parit
     return ParityAutomaton(
         alphabet, tuple(states), frozenset({start}), transitions, coloring
     )
+
+
+def trim_safety(a: ParityAutomaton) -> ParityAutomaton:
+    """The reachable states of a safety automaton from which some infinite
+    run starts; a single edgeless state when there are none."""
+    live = reachable_states(a)
+    while True:
+        keep = {
+            q for q in live
+            if any(t in live for x in a.alphabet for t in a.successors(q, x))
+        }
+        if keep == live:
+            break
+        live = keep
+    if not a.initial & live:
+        return ParityAutomaton(a.alphabet, ("void",), frozenset({"void"}), {}, {"void": 0})
+    states = tuple(q for q in a.states if q in live)
+    transitions = {
+        (q, x): frozenset(t for t in a.successors(q, x) if t in live)
+        for q in states
+        for x in a.alphabet
+    }
+    return ParityAutomaton(
+        a.alphabet, states, a.initial & live, transitions, dict.fromkeys(states, 0)
+    )
+
+
+def same_safety_language(a: ParityAutomaton, b: ParityAutomaton) -> bool:
+    """Language equality of two deterministic safety automata, by walking
+    both in lockstep after trimming: in a trimmed automaton every state
+    accepts some word, so the languages differ iff some reachable pair of
+    states disagrees on which letters have an edge."""
+    a, b = trim_safety(a), trim_safety(b)
+    start = (next(iter(a.initial)), next(iter(b.initial)))
+    seen = {start}
+    todo = [start]
+    while todo:
+        p, q = todo.pop()
+        for x in a.alphabet:
+            sp, sq = a.successors(p, x), b.successors(q, x)
+            if bool(sp) != bool(sq):
+                return False
+            if sp:
+                pair = (next(iter(sp)), next(iter(sq)))
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return True
+
+
+def moore_size(a: ParityAutomaton) -> int:
+    """State count of the minimal automaton equivalent to a trimmed
+    deterministic safety automaton, by Moore refinement: from one block,
+    split blocks by the blocks of their successors, a missing edge
+    counting as a block of its own, until no block splits."""
+    succ = {q: [next(iter(a.successors(q, x)), None) for x in a.alphabet] for q in a.states}
+    block = dict.fromkeys(a.states, 0)
+    count = 1
+    while True:
+        ids: dict = {}
+        block = {
+            q: ids.setdefault((block[q], *map(block.get, row)), len(ids))
+            for q, row in succ.items()
+        }
+        if len(ids) == count:
+            return count
+        count = len(ids)

@@ -189,6 +189,26 @@ class TestApproximate:
         code, _, err = run("approximate", "--ltl", "G 1", "--bound", "1")
         assert code == 2 and "atomic propositions" in err
 
+    def test_ltl_output_ignores_hash_seed(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lassokit.__file__)))
+        outputs = set()
+        for seed in range(4):
+            texts = []
+            for direction in ("under", "over"):
+                out = tmp_path / f"{direction}{seed}.hoa"
+                proc = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from lassokit.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "approximate", "--ltl", "G (p -> F q)", "--bound", "3",
+                     "--direction", direction, "--out", out.name],
+                    cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                    env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+                )
+                assert proc.returncode == 0, proc.stderr
+                texts.append(proc.stdout + out.read_text())
+            outputs.add(tuple(texts))
+        assert len(outputs) == 1
+
 
 class TestCheck:
     def make_gp(self, run, tmp_path):
@@ -305,6 +325,26 @@ State: 0 "s"
             outputs.add((proc.stdout, report.read_text()))
         assert len(outputs) == 1
         assert "accepted outside language: (, a)" in outputs.pop()[0]
+
+    def test_product_names_stay_distinct(self, run, tmp_path):
+        # Joined as "(p,q)", the product pairs (x, "y,z") and ("x,y", z)
+        # once shared the name "(x,y,z)" and the check exited 2.
+        (tmp_path / "s.hoa").write_text(
+            "HOA: v1\nStates: 2\nStart: 0\nAlphabet: 2 \"a\" \"b\"\n"
+            "acc-name: all\nAcceptance: 0 t\n--BODY--\n"
+            'State: 0 "x"\n[0] 1\n[1] 0\nState: 1 "x,y"\n[t] 0\n--END--\n'
+        )
+        (tmp_path / "r.hoa").write_text(
+            "HOA: v1\nStates: 2\nStart: 0\nAlphabet: 2 \"a\" \"b\"\n"
+            "acc-name: Buchi\nAcceptance: 1 Inf(0)\n--BODY--\n"
+            'State: 0 "y,z"\n[0] 1\n[1] 0\nState: 1 "z" {0}\n[0] 1\n[1] 0\n--END--\n'
+        )
+        code, stdout, err = run(
+            "check", "--in", str(tmp_path / "s.hoa"), "--ref", str(tmp_path / "r.hoa"),
+            "--bound", "1",
+        )
+        assert code == 1, err
+        assert "accepted outside language: (, b)" in stdout
 
     def test_jobs_option_is_gone(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)

@@ -21,11 +21,17 @@ from lassokit.core import (
     is_deterministic,
     is_safety,
 )
-from lassokit.families import fg_gf_dpa
+from lassokit.families import fg_gf_dpa, phi_n_oracle
 from lassokit.lassolab import automaton_oracle, check_lasso_precise, enumerate_bases
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
 
-from helpers import rand_formula, reference_safety, same_automaton
+from helpers import (
+    moore_size,
+    rand_formula,
+    reference_safety,
+    same_safety_language,
+    trim_safety,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -96,8 +102,14 @@ class TestBuildSafety:
 
 
 class TestSafetyMatchesReference:
-    """The construction builds the same automaton as the reference copy in
-    tests/helpers.py: states in the same order, same names, same edges."""
+    """The construction accepts the language of the paper's construction,
+    kept in tests/helpers.py, with no more states than it, and exactly as
+    many as an independent Moore refinement of the trimmed reference."""
+
+    def assert_minimal_copy(self, built, ref):
+        assert same_safety_language(built, ref)
+        assert built.size <= ref.size
+        assert built.size == moore_size(trim_safety(ref))
 
     @pytest.mark.parametrize("aps", [["p"], ["p", "q"]])
     def test_ltl_oracle(self, aps):
@@ -109,14 +121,21 @@ class TestSafetyMatchesReference:
             for n in (1, 2, 3):
                 built = build_safety_lasso_precise(ltl_oracle(f, pmap), sigma, n)
                 ref = reference_safety(ltl_oracle(f, pmap), sigma, n)
-                assert same_automaton(built, ref), (str(f), n)
+                self.assert_minimal_copy(built, ref)
 
     def test_automaton_oracle(self):
         abc = Alphabet(("a", "b", "c"))
         for alphabet, phi in ((AB, automaton_oracle(GFB)), (abc, only_a)):
             for n in (1, 2, 3):
                 built = build_safety_lasso_precise(phi, alphabet, n)
-                assert same_automaton(built, reference_safety(phi, alphabet, n))
+                self.assert_minimal_copy(built, reference_safety(phi, alphabet, n))
+
+    def test_periodic_family(self):
+        for n in (1, 2, 3, 4):
+            phi = phi_n_oracle(AB, n)
+            built = build_safety_lasso_precise(phi, AB, n)
+            self.assert_minimal_copy(built, reference_safety(phi, AB, n))
+            assert built.size >= 2**n
 
 
 class TestStateNames:
@@ -132,11 +151,27 @@ class TestStateNames:
         report = check_lasso_precise(a, phi, 3, inclusion_bound=4)
         assert report.mismatches == [] and report.ok
 
+    def test_loop_separator_letters_do_not_collide(self):
+        # Spelled by letter, the loop sets {(a), (b, a)} and {(a|b, a)}
+        # would both read "a|b,a"; spelled by index they stay apart.
+        sigma = Alphabet(("a", "b", "a|b"))
+
+        def phi(w):
+            return True
+
+        a = build_safety_lasso_precise(phi, sigma, 2)
+        assert {"p2[0|1,0]", "p2[2,0]"} <= set(a.states)
+        assert check_lasso_precise(a, phi, 2, inclusion_bound=3).ok
+
     def test_plain_letters_keep_their_names(self):
         sigma = Alphabet(("x;", "[y]", "{p,q}"))
-        a = build_safety_lasso_precise(only_a, sigma, 2)
-        assert a.states[:3] == ("p1[]", "p1[x;]", "p1[[y]]")
-        assert "p2[x;,{p,q};-,-]" in a.states
+
+        def phi(w):
+            return w.letter(1) == "x;"
+
+        a = build_safety_lasso_precise(phi, sigma, 2)
+        assert a.states[:4] == ("p1[]", "p2[x;]", "p1[[y]]", "p1[{p,q}]")
+        assert "p2[x;|{p,q},x;]" in a.states
 
 
 class TestBuechiToSafety:
