@@ -19,18 +19,20 @@ from .core import (
     ResourceLimit,
     RunLasso,
     SolverFailure,
+    BuchiTable,
     accepts_lasso,
     check_inclusion_exact,
     complement_dpa,
     complete_with_sink,
     find_accepting_lasso,
+    intersection_lasso,
     is_buchi,
     is_complete,
     is_deterministic,
     is_empty,
     is_safety,
     lasso,
-    product_safety,
+    product_lasso,
     reachable_states,
 )
 from .ltl import (
@@ -40,6 +42,8 @@ from .ltl import (
     format_ltl,
     ltl_oracle,
     parse_ltl,
+    tableau,
+    violation,
 )
 from .lassolab import (
     PrecisionReport,

@@ -2,7 +2,8 @@
 
 Subcommands cover the library surface: `approximate` builds precision
 preserving under/over-approximations, `check` compares an automaton
-against an oracle on bounded lassos, `synthesize` searches for small
+against an oracle on the lassos of one base length and tests containment
+(exactly by default where it can), `synthesize` searches for small
 lasso-precise automata, `family` emits the bundled fixtures, and
 `info`/`complement` are small utilities on HOA files.
 
@@ -120,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inclusion-bound",
         type=int,
         default=None,
-        help="largest lasso base for the containment half",
+        help="largest lasso base for the containment half; with --ltl it"
+        " replaces the exact product test by a scan bounded to this base",
     )
     ck.add_argument("--report", help="write the JSON report here")
     ck.set_defaults(handler=_cmd_check)
@@ -329,12 +331,16 @@ def _cmd_check(args) -> int:
                     "automaton alphabet does not match the formula's AP alphabet"
                 )
         phi = ltl_oracle(formula, amap)
+        known = {"formula": formula, "ap_map": amap}
     else:
         ref = _read_doc(args.ref).automaton
         if ref.alphabet.letters != a.alphabet.letters:
             raise InputError("reference and input alphabets differ")
         phi = automaton_oracle(ref)
-    report = check_lasso_precise(a, phi, n, inclusion_bound=args.inclusion_bound)
+        known = {"reference": ref}
+    report = check_lasso_precise(
+        a, phi, n, inclusion_bound=args.inclusion_bound, **known
+    )
     print(report.summary())
     if args.report:
         _write_text(args.report, report.to_json() + "\n")

@@ -1,5 +1,6 @@
 """Core automaton model: parity automata over finite alphabets, lasso words,
-acceptance checks, emptiness, complementation and safety products.
+acceptance checks, emptiness, complementation and the emptiness product
+with generalized Buchi automata that decides containment.
 
 Conventions used throughout the package:
 
@@ -252,29 +253,64 @@ class CompiledAutomaton:
     Letters and states are numbered in declaration order.  A deterministic
     automaton gets a flat successor ``table``: the successor of state q on
     letter x sits at ``q * len(letter_index) + x``, and the sentinel
-    ``len(colors)`` marks a dead cell.  Nondeterministic automata have no
-    table (and no ``initial``); they are decided on the product graph.
+    ``len(colors)`` marks a dead cell.  A nondeterministic automaton gets
+    ``moves`` instead, the sorted tuple of successors in the same layout,
+    and its sorted initial states in ``starts``.
     """
 
     letter_index: Mapping[str, int]
     colors: tuple[int, ...]
     table: Optional[tuple[int, ...]]
     initial: Optional[int]
+    moves: Optional[tuple[tuple[int, ...], ...]] = None
+    starts: tuple[int, ...] = ()
+
+    def successor_sets(self) -> tuple[tuple[int, ...], Sequence[tuple[int, ...]]]:
+        """Initial states and ``moves`` layout for either kind of view."""
+        if self.table is None:
+            return self.starts, self.moves
+        dead = len(self.colors)
+        return (self.initial,), [() if t == dead else (t,) for t in self.table]
 
 
 def _compile(a: ParityAutomaton) -> CompiledAutomaton:
     letter_index = {x: i for i, x in enumerate(a.alphabet.letters)}
     state_index = {q: i for i, q in enumerate(a.states)}
     colors = tuple(a.coloring[q] for q in a.states)
-    if not is_deterministic(a):
-        return CompiledAutomaton(letter_index, colors, None, None)
     S = len(letter_index)
+    if not is_deterministic(a):
+        moves: list[tuple[int, ...]] = [()] * (len(colors) * S)
+        for (q, x), targets in a.transitions.items():
+            moves[state_index[q] * S + letter_index[x]] = tuple(
+                sorted(map(state_index.__getitem__, targets))
+            )
+        starts = tuple(sorted(map(state_index.__getitem__, a.initial)))
+        return CompiledAutomaton(letter_index, colors, None, None, tuple(moves), starts)
     table = [len(colors)] * (len(colors) * S)
     for (q, x), targets in a.transitions.items():
         (t,) = targets
         table[state_index[q] * S + letter_index[x]] = state_index[t]
     (q0,) = a.initial
     return CompiledAutomaton(letter_index, colors, tuple(table), state_index[q0])
+
+
+@dataclass(frozen=True)
+class BuchiTable:
+    """Generalized Buchi automaton on integers, the right operand of the
+    emptiness product (``product_lasso``).
+
+    States are 0..len(marks)-1 and letter x is ``letters[x]``; the
+    successors of state v on letter x are ``moves[v * len(letters) + x]``.
+    Bit j of ``marks[v]`` puts v in acceptance set j, and a run accepts iff
+    it meets each of the ``sets`` acceptance sets infinitely often; with no
+    sets every infinite run accepts.
+    """
+
+    letters: tuple[str, ...]
+    initial: tuple[int, ...]
+    moves: tuple[tuple[int, ...], ...]
+    marks: tuple[int, ...]
+    sets: int
 
 
 def is_deterministic(a: ParityAutomaton) -> bool:
@@ -358,13 +394,17 @@ def _sccs(nodes: list, succ: Mapping) -> list[list]:
     return result
 
 
-def _accepting_sccs(nodes: list, edges, color_of) -> Iterator[tuple[int, list]]:
+def _accepting_sccs(
+    nodes: list, edges, color_of, mark_of=None, full: int = 0
+) -> Iterator[tuple[int, list]]:
     """Max-even cycle sweep: for each even color c from the top downward,
     yield (c, component) for every SCC of the subgraph restricted to colors
-    <= c that contains a color-c node and is non-trivial (more than one
-    node, or a self-loop).  Each such component holds an accepting cycle
-    through its color-c nodes, and the graph has an accepting cycle iff
-    some component is yielded.  ``edges[v]`` lists the successors of v."""
+    <= c that contains a color-c node, is non-trivial (more than one node,
+    or a self-loop) and whose nodes' marks (``mark_of``) cover every bit of
+    ``full``.  Each such component holds a closed walk through a color-c
+    node and every acceptance set, and the graph has a cycle with even
+    maximal color meeting every set iff some component is yielded.
+    ``edges[v]`` lists the successors of v."""
     if not nodes:
         return
     top = max(map(color_of, nodes))
@@ -375,8 +415,15 @@ def _accepting_sccs(nodes: list, edges, color_of) -> Iterator[tuple[int, list]]:
         for comp in _sccs(sub, sub_edges):
             if len(comp) == 1 and comp[0] not in sub_edges[comp[0]]:
                 continue
-            if any(color_of(v) == c for v in comp):
-                yield c, comp
+            if not any(color_of(v) == c for v in comp):
+                continue
+            if full:
+                seen = 0
+                for v in comp:
+                    seen |= mark_of(v)
+                if seen & full != full:
+                    continue
+            yield c, comp
 
 
 def accepts_lasso(a: ParityAutomaton, w: Lasso) -> bool:
@@ -475,35 +522,120 @@ def det_split_verdicts(table, colors, S: int, q: int, word) -> list[bool]:
 
 
 def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
-    """Generic acceptance on the product of base positions and states;
-    cycles can only form among loop positions, and the run is accepting
-    iff some reachable cycle has an even maximal color."""
-    base = w.base
-    for letter in base:
-        if letter not in a.alphabet:
-            raise InputError(f"lasso letter {letter!r} not in automaton alphabet")
+    """Generic acceptance on the integer product of base positions and
+    states; cycles can only form among loop positions, and the run is
+    accepting iff some reachable cycle has an even maximal color."""
+    view = a.compiled
+    S = len(view.letter_index)
+    try:
+        base = [view.letter_index[x] for x in w.base]
+    except KeyError as exc:
+        raise InputError(
+            f"lasso letter {exc.args[0]!r} not in automaton alphabet"
+        ) from None
     n = len(base)
     wrap = len(w.stem)
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < n else wrap
-
-    start = [(0, q) for q in a.initial]
-    edges: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    todo = deque(start)
-    seen = set(start)
-    while todo:
-        i, q = todo.popleft()
-        outs = []
-        for q2 in a.successors(q, base[i]):
-            node = (nxt(i), q2)
-            outs.append(node)
-            if node not in seen:
-                seen.add(node)
-                todo.append(node)
-        edges[(i, q)] = outs
-    hit = _accepting_sccs(list(seen), edges, lambda v: a.coloring[v[1]])
+    starts, moves = view.successor_sets()
+    number = {q * n: j for j, q in enumerate(starts)}
+    pairs = [(0, q) for q in starts]
+    edges = []
+    for i, q in pairs:
+        i2 = i + 1 if i + 1 < n else wrap
+        out = []
+        for q2 in moves[q * S + base[i]]:
+            key = q2 * n + i2
+            node = number.get(key)
+            if node is None:
+                node = number[key] = len(pairs)
+                pairs.append((i2, q2))
+            out.append(node)
+        edges.append(out)
+    colors = [view.colors[q] for _i, q in pairs]
+    hit = _accepting_sccs(range(len(pairs)), edges, colors.__getitem__)
     return next(hit, None) is not None
+
+
+def product_lasso(
+    letters: Sequence[str],
+    starts: Sequence[int],
+    colors: Sequence[int],
+    moves: Sequence[tuple[int, ...]],
+    b: BuchiTable,
+) -> Optional[Lasso]:
+    """A canonical lasso accepted both by a parity automaton on integers
+    and by ``b``, or None when the intersection is empty.
+
+    The parity side has initial states ``starts``, state colors ``colors``
+    and the successors of state q on its letter x, named ``letters[x]``,
+    in ``moves[q * len(letters) + x]``; ``table``-less compiled views give
+    this layout directly (``CompiledAutomaton.successor_sets``).  Letters
+    of the two sides are matched by name.  Product states, and so the
+    witness, follow declaration order, never set iteration order.
+    """
+    index = {x: i for i, x in enumerate(b.letters)}
+    try:
+        relabel = [index[x] for x in letters]
+    except KeyError as exc:
+        raise InputError(
+            f"letter {exc.args[0]!r} missing from the product's Buchi side"
+        ) from None
+    pairs, succ, roots = _product_graph(starts, moves, len(letters), relabel, b)
+    color_of = [colors[q] for q, _v in pairs].__getitem__
+    mark_of = [b.marks[v] for _q, v in pairs].__getitem__
+    full = (1 << b.sets) - 1
+    edges = [[t for _x, t in out] for out in succ]
+    nodes = range(len(pairs))
+    hit = next(_accepting_sccs(nodes, edges, color_of, mark_of, full), None)
+    if hit is None:
+        return None
+    stem, loop = _witness_steps(hit, roots, succ, color_of, mark_of, full)
+    return Lasso(
+        tuple(letters[x] for _v, x in stem), tuple(letters[x] for _v, x in loop)
+    ).canonical()
+
+
+def intersection_lasso(a: ParityAutomaton, b: BuchiTable) -> Optional[Lasso]:
+    """``product_lasso`` for a parity automaton: a canonical lasso in
+    L(a) and L(b), or None when they are disjoint."""
+    view = a.compiled
+    starts, moves = view.successor_sets()
+    return product_lasso(a.alphabet.letters, starts, view.colors, moves, b)
+
+
+def _product_graph(starts, moves, S: int, relabel, b: BuchiTable):
+    """Reachable part of the product: its state pairs, numbered in
+    breadth-first order from the initial pairs, the labelled successor
+    list [(letter, node), ...] of each, and the initial nodes."""
+    T = len(b.letters)
+    V = len(b.marks)
+    number: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for q in starts:
+        for v in b.initial:
+            if q * V + v not in number:
+                number[q * V + v] = len(pairs)
+                pairs.append((q, v))
+    roots = range(len(pairs))
+    succ: list[list[tuple[int, int]]] = []
+    b_moves = b.moves
+    for q, v in pairs:
+        out = []
+        row_a = q * S
+        row_b = v * T
+        for x in range(S):
+            vs = b_moves[row_b + relabel[x]]
+            if not vs:
+                continue
+            for q2 in moves[row_a + x]:
+                for v2 in vs:
+                    key = q2 * V + v2
+                    node = number.get(key)
+                    if node is None:
+                        node = number[key] = len(pairs)
+                        pairs.append((q2, v2))
+                    out.append((x, node))
+        succ.append(out)
+    return pairs, succ, roots
 
 
 def find_accepting_lasso(
@@ -532,33 +664,63 @@ def find_accepting_lasso(
     hit = next(_accepting_sccs(reach, edges, colors.__getitem__), None)
     if hit is None:
         return None
+    stem, loop = _witness_steps(hit, roots, succ, colors.__getitem__)
+    letters = a.alphabet.letters
+    run = RunLasso(tuple(a.states[s] for s, _x in stem + loop), len(stem))
+    return run, Lasso(
+        tuple(letters[x] for _s, x in stem), tuple(letters[x] for _s, x in loop)
+    )
+
+
+def _witness_steps(hit, roots, succ, color_of, mark_of=None, full: int = 0):
+    """Stem and loop, as [(node, letter), ...], of an accepting lasso
+    through the component of ``hit`` (from ``_accepting_sccs``).
+
+    The loop is a closed walk through the least color-c node of the
+    component and, in turn, its least node of every acceptance set that
+    is still missing; with no sets it is a simple cycle.  The stem is a
+    shortest path to the first contact with the walk.  Product nodes are
+    numbered breadth-first, so least means near the initial nodes."""
     c, comp = hit
-    anchor = next(v for v in comp if colors[v] == c)
-    cycle = _cycle_through(anchor, set(comp), succ)
-    stem_path = _path_to_cycle(roots, {s for s, _x in cycle}, succ)
-    return _assemble_witness(a, stem_path, cycle)
+    comp_set = set(comp)
+    anchor = min(v for v in comp if color_of(v) == c)
+    stops = [anchor]
+    seen = mark_of(anchor) if full else 0
+    for j in range(full.bit_length()):
+        if not seen >> j & 1:
+            stop = min(v for v in comp if mark_of(v) >> j & 1)
+            stops.append(stop)
+            seen |= mark_of(stop)
+    walk = []
+    for src, dst in zip(stops, stops[1:] + [anchor]):
+        walk += _leg(src, dst, comp_set, succ)
+    stem_path = _path_to_cycle(roots, {s for s, _x in walk}, succ)
+    entry = stem_path[-1][0]
+    k = next(i for i, (s, _x) in enumerate(walk) if s == entry)
+    return stem_path[:-1], walk[k:] + walk[:k]
 
 
-def _cycle_through(anchor, comp_set, succ):
-    """Simple cycle through anchor inside comp_set, as [(state, letter), ...]."""
+def _leg(src, dst, comp_set, succ):
+    """Shortest path of at least one step from src to dst inside comp_set,
+    as [(state, letter), ...]; with dst == src, a simple cycle."""
     parent: dict[int, tuple[int, int]] = {}
     todo = deque()
-    for x, q2 in succ[anchor]:
+    for x, q2 in succ[src]:
         if q2 not in comp_set:
             continue
-        if q2 == anchor:
-            return [(anchor, x)]
+        if q2 == dst:
+            return [(src, x)]
         if q2 not in parent:
-            parent[q2] = (anchor, x)
+            parent[q2] = (src, x)
             todo.append(q2)
     while todo:
         q = todo.popleft()
         for x, q2 in succ[q]:
             if q2 not in comp_set:
                 continue
-            if q2 == anchor:
+            if q2 == dst:
                 steps = [(q, x)]
-                while q != anchor:
+                while q != src:
                     p, px = parent[q]
                     steps.append((p, px))
                     q = p
@@ -567,7 +729,7 @@ def _cycle_through(anchor, comp_set, succ):
             if q2 not in parent:
                 parent[q2] = (q, x)
                 todo.append(q2)
-    raise LassokitError("no cycle through the anchor of a non-trivial SCC")
+    raise LassokitError("no path between two nodes of one SCC")
 
 
 def _path_to_cycle(roots, cycle_states, succ):
@@ -595,19 +757,6 @@ def _path_to_cycle(roots, cycle_states, succ):
                 return path
             todo.append(q2)
     raise LassokitError("cycle unreachable despite reachability analysis")
-
-
-def _assemble_witness(a, stem_path, cycle):
-    """Name the run and word of an index-level stem path and cycle."""
-    entry = stem_path[-1][0]
-    k = next(i for i, (s, _x) in enumerate(cycle) if s == entry)
-    rotated = cycle[k:] + cycle[:k]
-    stem = stem_path[:-1]
-    letters = a.alphabet.letters
-    run = RunLasso(tuple(a.states[s] for s, _x in stem + rotated), len(stem))
-    return run, Lasso(
-        tuple(letters[x] for _s, x in stem), tuple(letters[x] for _s, x in rotated)
-    )
 
 
 def is_empty(a: ParityAutomaton) -> bool:
@@ -647,68 +796,35 @@ def complement_dpa(a: ParityAutomaton) -> ParityAutomaton:
     return ParityAutomaton(a.alphabet, a.states, a.initial, dict(a.transitions), coloring)
 
 
-def product_safety(s: ParityAutomaton, a: ParityAutomaton) -> ParityAutomaton:
-    """Product of a safety automaton with an arbitrary parity automaton.
-
-    The safety side only prunes runs, so the product inherits the parity
-    coloring of ``a`` and recognizes the intersection of both languages.
-    """
-    if not is_safety(s):
-        raise ContractViolation("left product operand must be a safety automaton")
-    if s.alphabet.letters != a.alphabet.letters:
-        raise InputError("product requires identical alphabets")
-
-    # Product states are index pairs, named by those indices: joining the
-    # component names could give two pairs one name.
-    s_index = {p: i for i, p in enumerate(s.states)}
-    a_index = {q: j for j, q in enumerate(a.states)}
-
-    def name(pair: tuple[int, int]) -> str:
-        return "(%d,%d)" % pair
-
-    initial = {(s_index[p], a_index[q]) for p in s.initial for q in a.initial}
-    seen = set(initial)
-    todo = deque(initial)
-    transitions: dict[tuple[str, str], frozenset[str]] = {}
-    while todo:
-        pair = todo.popleft()
-        p, q = s.states[pair[0]], a.states[pair[1]]
-        for x in s.alphabet:
-            targets = {
-                (s_index[p2], a_index[q2])
-                for p2 in s.successors(p, x)
-                for q2 in a.successors(q, x)
-            }
-            if not targets:
-                continue
-            transitions[(name(pair), x)] = frozenset(map(name, targets))
-            for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-    pairs = sorted(seen)
-    return ParityAutomaton(
-        s.alphabet,
-        tuple(map(name, pairs)),
-        frozenset(map(name, initial)),
-        transitions,
-        {name(pair): a.coloring[a.states[pair[1]]] for pair in pairs},
-    )
-
-
 def check_inclusion_exact(
     s: ParityAutomaton, ref: ParityAutomaton
 ) -> tuple[bool, Optional[Lasso]]:
     """Exact test of L(s) <= L(ref) for safety s against deterministic ref.
 
-    Implemented as emptiness of the product with the complemented reference;
-    on failure the witness lasso lies in L(s) but not in L(ref).
+    Implemented as emptiness of one ``product_lasso``: the parity side is
+    the complement of the completed reference, built on its compiled
+    table (dead cells go to an accepting sink, every other color moves up
+    by one), and the Buchi side is s with every state accepting.  On
+    failure the canonical witness lies in L(s) but not in L(ref).
     """
     if not is_deterministic(ref):
         raise ContractViolation("inclusion reference must be deterministic")
-    bad = product_safety(s, complement_dpa(complete_with_sink(ref)))
-    hit = find_accepting_lasso(bad)
-    if hit is None:
-        return True, None
-    _run, word = hit
-    return False, word.canonical()
+    if not is_safety(s):
+        raise ContractViolation("included automaton must be a safety automaton")
+    if s.alphabet.letters != ref.alphabet.letters:
+        raise InputError("inclusion requires identical alphabets")
+    view = ref.compiled
+    sink = len(view.colors)
+    S = len(view.letter_index)
+    moves = [(t,) for t in view.table] + [(sink,)] * S
+    colors = [c + 1 for c in view.colors] + [0]
+    safe = s.compiled
+    starts, safe_moves = safe.successor_sets()
+    word = product_lasso(
+        ref.alphabet.letters,
+        (view.initial,),
+        colors,
+        moves,
+        BuchiTable(s.alphabet.letters, starts, tuple(safe_moves), (0,) * s.size, 0),
+    )
+    return word is None, word

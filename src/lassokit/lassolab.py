@@ -1,6 +1,7 @@
 """Lasso laboratory: unrolling, exhaustive base enumeration, and the
-bounded precision check that compares an automaton against a membership
-oracle on all small lassos.
+precision check that compares an automaton against a membership oracle on
+all lassos of one base length and tests containment, exactly where a
+formula or reference automaton is known and on all small lassos otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     is_deterministic,
     is_safety,
 )
+from .ltl import ApLetterMap, LtlFormula, violation
 
 
 def unroll(w: Lasso, n2: int) -> Lasso:
@@ -73,11 +75,14 @@ def automaton_oracle(a: ParityAutomaton) -> MembershipOracle:
 
 @dataclass
 class PrecisionReport:
-    """Outcome of a bounded precision check.
+    """Outcome of a precision check.
 
     ``mismatches`` holds lassos of base length exactly n where automaton and
     oracle disagree; ``inclusion_violations`` holds accepted lassos of base
-    length up to the inclusion bound that the oracle rejects.
+    length up to the inclusion bound that the oracle rejects, plus the
+    witness of the exact containment test when one ran
+    (``exact_inclusion``) and found a lasso the scan did not list.
+    Without the exact test, containment is only known up to the bound.
     """
 
     n: int
@@ -103,6 +108,7 @@ class PrecisionReport:
             "checked_equal": self.checked_equal,
             "checked_inclusion": self.checked_inclusion,
             "exact_inclusion": self.exact_inclusion,
+            "containment": "exact" if self.exact_inclusion else "bounded",
             "ok": self.ok,
             "mismatches": [
                 {
@@ -123,13 +129,18 @@ class PrecisionReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary(self) -> str:
-        how = " (plus exact product test)" if self.exact_inclusion else ""
+        if self.exact_inclusion:
+            how = " (plus exact product test)"
+            scope = "containment exact"
+        else:
+            how = ""
+            scope = f"containment bounded to bases up to {self.inclusion_bound}"
         lines = [
             f"precision check at n={self.n}, inclusion bound {self.inclusion_bound}",
             f"  equality lassos checked: {self.checked_equal}, mismatches: {len(self.mismatches)}",
             f"  inclusion lassos checked: {self.checked_inclusion}{how}, "
             f"violations: {len(self.inclusion_violations)}",
-            f"  verdict: {'ok' if self.ok else 'FAILED'}",
+            f"  verdict: {'ok' if self.ok else 'FAILED'} ({scope})",
         ]
         for w, ref, got in self.mismatches[:10]:
             lines.append(f"  mismatch {w}: language={ref} automaton={got}")
@@ -178,27 +189,36 @@ def check_lasso_precise(
     n: int,
     inclusion_bound: Optional[int] = None,
     reference: Optional[ParityAutomaton] = None,
+    formula: Optional[LtlFormula] = None,
+    ap_map: Optional[ApLetterMap] = None,
 ) -> PrecisionReport:
     """Compare ``a`` against the oracle on all lassos of base length n
     (equality) and check that every accepted lasso satisfies the oracle.
 
-    The containment half is decided exactly (product with the complemented
-    reference) whenever a deterministic reference automaton is known, either
-    passed explicitly or carried by an automaton_oracle, and ``a`` is a
-    safety automaton.  Otherwise it is tested exhaustively on all bases up
-    to the inclusion bound, which defaults to max(n, |a|); callers checking
-    a large automaton against a bare oracle should pass a bound that they
+    The containment half is decided exactly, by one emptiness product, in
+    two cases: a deterministic reference automaton is known, passed
+    explicitly or carried by an automaton_oracle, and ``a`` is a safety
+    automaton; or an LTL formula and its letter map are known, passed
+    explicitly or carried by an ltl_oracle, and no inclusion bound is
+    given.  Otherwise it is tested exhaustively on all bases up to the
+    inclusion bound, which defaults to max(n, |a|); callers checking a
+    large automaton against a bare oracle should pass a bound that they
     can afford.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
     ref_auto = reference if reference is not None else getattr(phi, "automaton", None)
-    exact = (
+    by_reference = (
         ref_auto is not None
         and is_safety(a)
         and is_deterministic(ref_auto)
         and ref_auto.alphabet.letters == a.alphabet.letters
     )
+    if formula is None:
+        formula = getattr(phi, "formula", None)
+        ap_map = getattr(phi, "ap_map", None)
+    by_formula = not by_reference and formula is not None and inclusion_bound is None
+    exact = by_reference or by_formula
     if inclusion_bound is None:
         bound = n if exact else default_inclusion_bound(a, n)
     else:
@@ -209,7 +229,11 @@ def check_lasso_precise(
     report = _scan(a, phi, n, bound)
     if exact:
         report.exact_inclusion = True
-        included, witness = check_inclusion_exact(a, ref_auto)
-        if not included:
+        if by_reference:
+            witness = check_inclusion_exact(a, ref_auto)[1]
+        else:
+            witness = violation(a, formula, ap_map)
+        listed = {w.canonical() for w in report.inclusion_violations}
+        if witness is not None and witness not in listed:
             report.inclusion_violations.append(witness)
     return report

@@ -13,11 +13,14 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     Alphabet,
+    BuchiTable,
     InputError,
     Lasso,
     MembershipOracle,
+    ParityAutomaton,
     ParseError,
     _canonical_parts,
+    intersection_lasso,
 )
 
 _UNARY = ("not", "next", "eventually", "always")
@@ -50,6 +53,12 @@ class LtlFormula:
     def _programs(self) -> dict[tuple[str, ...], tuple]:
         """Compiled evaluation steps of this formula, one list per AP tuple,
         filled by ``eval_on_lasso`` on first use."""
+        return {}
+
+    @cached_property
+    def _tableaux(self) -> dict[tuple["ApLetterMap", bool], BuchiTable]:
+        """Buchi tables of this formula and of its negation, one per letter
+        map, filled by ``tableau`` on first use."""
         return {}
 
     def atoms(self) -> frozenset[str]:
@@ -454,4 +463,162 @@ def ltl_oracle(f: LtlFormula, m: ApLetterMap) -> MembershipOracle:
             value = cache[key] = eval_on_lasso(f, Lasso(*key), m)
         return value
 
+    # Attached so that containment checks can decide exactly with the
+    # tableau (``violation``) instead of scanning lassos.
+    oracle.formula = f
+    oracle.ap_map = m
     return oracle
+
+
+# ---------------------------------------------------------------------------
+# tableau translation and exact containment
+
+
+# Negation normal form over U/R/X: a formula is interned as a list of
+# subformulas (kind, x, y), where x and y index earlier entries, or x is
+# the AP bit of an "atom" or a negated atom "natom".  Sets of subformulas
+# are bit sets over these indices.
+
+def _nnf(f: LtlFormula, aps: tuple[str, ...]) -> tuple[int, list[tuple[str, int, int]]]:
+    subs: list[tuple[str, int, int]] = []
+    ids: dict[tuple[str, int, int], int] = {}
+
+    def make(kind: str, x: int = 0, y: int = 0) -> int:
+        key = (kind, x, y)
+        got = ids.get(key)
+        if got is None:
+            got = ids[key] = len(subs)
+            subs.append(key)
+        return got
+
+    dual = {"and": "or", "or": "and", "until": "release", "release": "until"}
+
+    def go(g: LtlFormula, negated: bool) -> int:
+        kind = g.kind
+        if kind == "eventually":  # F a = 1 U a
+            return go(until(true(), g.operands[0]), negated)
+        if kind == "always":  # G a = 0 R a
+            return go(release(false(), g.operands[0]), negated)
+        if kind == "implies":  # a -> b = !a | b
+            return go(disj(neg(g.operands[0]), g.operands[1]), negated)
+        if kind == "not":
+            return go(g.operands[0], not negated)
+        if kind == "atom":
+            if g.name not in aps:
+                raise InputError(f"formula atom {g.name!r} missing from the AP map")
+            return make("natom" if negated else "atom", aps.index(g.name))
+        if kind in ("true", "false"):
+            return make("false" if (kind == "true") == negated else "true")
+        if kind == "next":
+            return make("next", go(g.operands[0], negated))
+        a, b = (go(h, negated) for h in g.operands)
+        return make(dual[kind] if negated else kind, a, b)
+
+    return go(f, False), subs
+
+
+def _tableau(f: LtlFormula, m: ApLetterMap) -> BuchiTable:
+    """Gerth, Peled, Vardi and Wolper's tableau ("Simple on-the-fly
+    automatic verification of linear temporal logic", 1995) for ``f``.
+
+    A node is the pair (old, next) of subformula sets that one expansion
+    closes: old holds at the node's position and next at the one after.
+    State 0 is the initial pseudo-node; reading letter x moves a state to
+    the successor nodes whose literals x satisfies.  Each ``a U b`` in the
+    closure gives one acceptance set: the nodes where it is not promised
+    or where b holds.
+    """
+    root, subs = _nnf(f, m.aps)
+    complement = {}
+    for j, (kind, x, _y) in enumerate(subs):
+        if kind in ("atom", "natom"):
+            other = ("natom" if kind == "atom" else "atom", x, 0)
+            if other in subs:
+                complement[j] = 1 << subs.index(other)
+
+    number: dict[tuple[int, int], int] = {}
+    olds = [0]
+    succ: list[set[int]] = [set()]
+    # (predecessor, still to expand, old, next), as in the paper's expand
+    stack = [(0, 1 << root, 0, 0)]
+    while stack:
+        pred, new, old, nxt = stack.pop()
+        new &= ~old
+        if not new:
+            node = number.get((old, nxt))
+            if node is None:
+                node = number[(old, nxt)] = len(olds)
+                olds.append(old)
+                succ.append(set())
+                stack.append((node, nxt, 0, 0))
+            succ[pred].add(node)
+            continue
+        bit = new & -new
+        new ^= bit
+        old |= bit
+        j = bit.bit_length() - 1
+        kind, x, y = subs[j]
+        if kind == "false" or old & complement.get(j, 0):
+            continue
+        if kind in ("true", "atom", "natom"):
+            stack.append((pred, new, old, nxt))
+        elif kind == "and":
+            stack.append((pred, new | 1 << x | 1 << y, old, nxt))
+        elif kind == "next":
+            stack.append((pred, new, old, nxt | 1 << x))
+        elif kind == "or":
+            stack.append((pred, new | 1 << y, old, nxt))
+            stack.append((pred, new | 1 << x, old, nxt))
+        elif kind == "until":
+            stack.append((pred, new | 1 << y, old, nxt))
+            stack.append((pred, new | 1 << x, old, nxt | bit))
+        else:  # release
+            stack.append((pred, new | 1 << x | 1 << y, old, nxt))
+            stack.append((pred, new | 1 << y, old, nxt | bit))
+
+    T = len(m.letters)
+    allowed = [range(T)]  # the pseudo-node, which no move enters
+    for old in olds[1:]:
+        must = must_not = 0
+        for j, (kind, x, _y) in enumerate(subs):
+            if old >> j & 1:
+                if kind == "atom":
+                    must |= 1 << x
+                elif kind == "natom":
+                    must_not |= 1 << x
+        allowed.append(
+            {mask for mask in range(T) if mask & must == must and not mask & must_not}
+        )
+    moves = [
+        tuple(v for v in sorted(succ[s]) if x in allowed[v])
+        for s in range(len(olds))
+        for x in range(T)
+    ]
+    untils = [(j, y) for j, (kind, _x, y) in enumerate(subs) if kind == "until"]
+    marks = tuple(
+        sum(
+            1 << i
+            for i, (j, y) in enumerate(untils)
+            if not old >> j & 1 or old >> y & 1
+        )
+        for old in olds
+    )
+    return BuchiTable(m.letters, (0,), tuple(moves), marks, len(untils))
+
+
+def tableau(f: LtlFormula, m: ApLetterMap, negate: bool = False) -> BuchiTable:
+    """Generalized Buchi table of L(f), or of its complement with
+    ``negate``, over the letters of ``m``; cached on the formula."""
+    key = (m, negate)
+    got = f._tableaux.get(key)
+    if got is None:
+        got = f._tableaux[key] = _tableau(neg(f) if negate else f, m)
+    return got
+
+
+def violation(a: ParityAutomaton, f: LtlFormula, m: ApLetterMap) -> Optional[Lasso]:
+    """Exact containment test of L(a) in L(f): a canonical lasso that
+    ``a`` accepts and ``f`` rejects, or None if there is none.  It is the
+    emptiness check of ``a`` times the tableau of the negation (Vardi and
+    Wolper, LICS 1986)."""
+    return intersection_lasso(a, tableau(f, m, negate=True))

@@ -37,9 +37,10 @@ from .core import (
     SolverFailure,
     accepts_splits,
     det_split_verdicts,
+    product_lasso,
 )
 from .lassolab import PrecisionReport, check_lasso_precise, words_by_length
-from .ltl import ApLetterMap, LtlFormula, ltl_oracle
+from .ltl import ApLetterMap, LtlFormula, ltl_oracle, tableau, violation
 
 DEFAULT_EXPANSION_LIMIT = 1_000_000
 DEFAULT_SEARCH_CEILING = 1_000_000
@@ -619,10 +620,11 @@ def decode(p: QbfProblem, model: dict[int, bool]) -> ParityAutomaton:
 
 
 def verify_certificate(q: SynthesisQuery, a: ParityAutomaton) -> PrecisionReport:
-    """Independent re-check of a synthesized automaton: base-n agreement
-    plus containment on all bases up to n*k."""
+    """Independent re-check of a synthesized automaton: agreement on every
+    lasso of base n plus exact containment, decided by the product with
+    the tableau of the negated formula."""
     phi = ltl_oracle(q.formula, q.ap_map)
-    return check_lasso_precise(a, phi, q.n, inclusion_bound=q.n * q.k)
+    return check_lasso_precise(a, phi, q.n, formula=q.formula, ap_map=q.ap_map)
 
 
 # ---------------------------------------------------------------------------
@@ -672,11 +674,18 @@ def search_lasso_precise(
     target: str = "deterministic",
     ceiling: int = DEFAULT_SEARCH_CEILING,
     inclusion_bound: Optional[int] = None,
+    formula: Optional[LtlFormula] = None,
+    ap_map: Optional[ApLetterMap] = None,
 ) -> Optional[ParityAutomaton]:
     """Enumerate k-state, m-color automata over the alphabet and return the
-    first one that agrees with the oracle on every base-n lasso and accepts
-    no counterexample lasso of base up to the inclusion bound (default
-    n*k).
+    first one that agrees with the oracle on every base-n lasso and whose
+    language is contained in the oracle's.
+
+    Containment is exact when the oracle's LTL formula and letter map are
+    known, passed explicitly or carried by an ``ltl_oracle``: a candidate
+    that passes the equality lassos is tested by the product with the
+    tableau of the negated formula.  For a bare oracle it is tested on
+    every lasso of base up to the inclusion bound (default n*k).
 
     Deterministic candidates are enumerated up to renaming (initial state
     fixed, states numbered in visit order); the nondeterministic mode
@@ -691,8 +700,6 @@ def search_lasso_precise(
         raise ResourceLimit(
             f"search space has {space} candidates, ceiling is {ceiling}"
         )
-    bound = n * k if inclusion_bound is None else inclusion_bound
-
     cache: dict[Lasso, bool] = {}
 
     def phi(w: Lasso) -> bool:
@@ -706,15 +713,37 @@ def search_lasso_precise(
         (word, [phi(_lasso_of(alphabet, word, split)) for split in range(n)])
         for word in words_by_length(range(S), n, n)
     ]
-    # Only candidates that pass equality read the inclusion words, so the
-    # list is built the first time one does.
-    inclusion = functools.cache(
-        lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
-    )
+    if formula is None:
+        formula = getattr(oracle, "formula", None)
+        ap_map = getattr(oracle, "ap_map", None)
+    # contained(verdicts_of, starts, colors, moves): the containment test of
+    # a candidate that agrees on every equality word, given its split
+    # verdicts and its integer view
+    if formula is not None:
+        negation = tableau(formula, ap_map, negate=True)
+
+        def contained(verdicts_of, starts, colors, moves) -> bool:
+            witness = product_lasso(alphabet.letters, starts, colors, moves, negation)
+            return witness is None
+
+    else:
+        bound = n * k if inclusion_bound is None else inclusion_bound
+        # Only candidates that pass equality read the inclusion words, so
+        # the list is built the first time one does.
+        inclusion = functools.cache(
+            lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
+        )
+
+        def contained(verdicts_of, starts, colors, moves) -> bool:
+            for word in inclusion():
+                for split, got in enumerate(verdicts_of(word)):
+                    if got and not phi(_lasso_of(alphabet, word, split)):
+                        return False
+            return True
 
     if target == "deterministic":
-        return _scan_deterministic(alphabet, phi, k, m, equality, inclusion)
-    return _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion)
+        return _scan_deterministic(alphabet, k, m, equality, contained)
+    return _scan_nondeterministic(alphabet, k, m, equality, contained)
 
 
 def _lasso_of(alphabet: Alphabet, word, split: int) -> Lasso:
@@ -722,17 +751,10 @@ def _lasso_of(alphabet: Alphabet, word, split: int) -> Lasso:
     return Lasso(named[:split], named[split:])
 
 
-def _is_precise(verdicts_of, alphabet, phi, equality, inclusion) -> bool:
-    """The candidate test: ``verdicts_of(word)`` (one verdict per split)
-    matches the language on every equality word, and no accepted lasso of
-    an inclusion word lies outside it."""
-    if any(verdicts_of(word) != wants for word, wants in equality):
-        return False
-    for word in inclusion():
-        for split, got in enumerate(verdicts_of(word)):
-            if got and not phi(_lasso_of(alphabet, word, split)):
-                return False
-    return True
+def _agrees(verdicts_of, equality) -> bool:
+    """``verdicts_of(word)`` (one verdict per split) matches the language
+    on every equality word."""
+    return all(verdicts_of(word) == wants for word, wants in equality)
 
 
 def _decode_det_table(index: int, k: int, S: int) -> tuple:
@@ -762,22 +784,27 @@ def _build_det(alphabet: Alphabet, table, mu, k: int) -> ParityAutomaton:
     )
 
 
-def _scan_deterministic(alphabet, phi, k, m, equality, inclusion):
+def _scan_deterministic(alphabet, k, m, equality, contained):
     S = len(alphabet)
     for idx in range((k + 1) ** (k * S)):
         table = _decode_det_table(idx, k, S)
         reach = _canonical_reach(table, k, S)
         if reach is None:
             continue
+        moves = None
         for mu_r in itertools.product(range(m), repeat=reach):
             mu = mu_r + (0,) * (k - reach)
             verdicts_of = functools.partial(det_split_verdicts, table, mu, S, 0)
-            if _is_precise(verdicts_of, alphabet, phi, equality, inclusion):
+            if not _agrees(verdicts_of, equality):
+                continue
+            if moves is None:
+                moves = [() if t == k else (t,) for t in table]
+            if contained(verdicts_of, (0,), mu, moves):
                 return _build_det(alphabet, table, mu, k)
     return None
 
 
-def _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion):
+def _scan_nondeterministic(alphabet, k, m, equality, contained):
     # experimental mode: no symmetry pruning beyond the initial-set shape
     S = len(alphabet)
     names = [f"q{s}" for s in range(k)]
@@ -801,7 +828,11 @@ def _scan_nondeterministic(alphabet, phi, k, m, equality, inclusion):
                     coloring={names[s]: mu_r[s] for s in range(k)},
                 )
                 verdicts_of = functools.partial(accepts_splits, cand)
-                if _is_precise(verdicts_of, alphabet, phi, equality, inclusion):
+                if not _agrees(verdicts_of, equality):
+                    continue
+                view = cand.compiled
+                starts, moves = view.successor_sets()
+                if contained(verdicts_of, starts, view.colors, moves):
                     return cand
     return None
 
@@ -824,6 +855,8 @@ def brute_force_search(
         q.m,
         target=q.target,
         ceiling=ceiling,
+        formula=q.formula,
+        ap_map=q.ap_map,
     )
 
 
@@ -973,7 +1006,8 @@ def solve_query(
 
     Engine order: the external solver when a command is given, otherwise
     internal expansion, with brute force as the fallback when expansion is
-    over its limit.
+    over its limit or its witness (or the solver's) fails the exact
+    containment test.
     """
     if solver:
         p = encode(q)
@@ -981,7 +1015,7 @@ def solve_query(
         if not verdict:
             return None
         if model is not None:
-            return decode(p, model)
+            return _contained_or_enumerate(q, decode(p, model), search_ceiling)
         # verdict-only solver: materialize a witness by enumeration
         a = brute_force_search(q, ceiling=search_ceiling)
         if a is None:
@@ -993,6 +1027,22 @@ def solve_query(
     try:
         p = encode(q)
         model = solve_by_expansion(p, expansion_limit)
-        return decode(p, model) if model is not None else None
     except ResourceLimit:
         return brute_force_search(q, ceiling=search_ceiling)
+    if model is None:
+        return None
+    return _contained_or_enumerate(q, decode(p, model), search_ceiling)
+
+
+def _contained_or_enumerate(
+    q: SynthesisQuery, a: ParityAutomaton, search_ceiling: int
+) -> Optional[ParityAutomaton]:
+    """``a`` if its language lies inside the formula's, otherwise the
+    brute-force answer.  The matrix only bounds containment (its
+    ``runs_imply_formula`` covers runs that loop with a base-k word), so
+    its verdict is trusted only with a witness that the exact product
+    test accepts; when that test fails, the query goes to the exact
+    enumeration as if expansion had been over its limit."""
+    if violation(a, q.formula, q.ap_map) is None:
+        return a
+    return brute_force_search(q, ceiling=search_ceiling)

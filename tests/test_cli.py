@@ -345,6 +345,57 @@ State: 0 "s"
         )
         assert code == 1, err
         assert "accepted outside language: (, b)" in stdout
+        # At bound 2 the scan lists (, b) too; the exact witness is the
+        # same lasso and is not listed twice.
+        code, stdout, err = run(
+            "check", "--in", str(tmp_path / "s.hoa"), "--ref", str(tmp_path / "r.hoa"),
+            "--bound", "2",
+        )
+        assert code == 1, err
+        assert "violations: 1" in stdout
+        assert stdout.count("accepted outside language: (, b)") == 1
+
+    ACCEPT_ALL_P = (
+        "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"p\"\nAcceptance: 0 t\n"
+        '--BODY--\nState: 0 "q0"\n[t] 0\n--END--\n'
+    )
+
+    def test_ltl_containment_exact_by_default(self, run, tmp_path):
+        # The accept-all automaton agrees with p -> X p on every base-1
+        # lasso but accepts ({p}, {}), outside the language.
+        auto = tmp_path / "w.hoa"
+        auto.write_text(self.ACCEPT_ALL_P)
+        report = tmp_path / "r.json"
+        code, stdout, _ = run(
+            "check", "--in", str(auto), "--ltl", "p -> X p", "--bound", "1",
+            "--report", str(report),
+        )
+        assert code == 1
+        assert "mismatches: 0" in stdout
+        assert "accepted outside language: ({p}, {})" in stdout
+        assert "verdict: FAILED (containment exact)" in stdout
+        payload = json.loads(report.read_text())
+        assert payload["containment"] == "exact" and payload["exact_inclusion"]
+        assert payload["inclusion_violations"] == [{"base": ["{p}", "{}"], "split": 1}]
+
+    def test_inclusion_bound_keeps_the_bounded_scan(self, run, tmp_path):
+        auto = tmp_path / "w.hoa"
+        auto.write_text(self.ACCEPT_ALL_P)
+        report = tmp_path / "r.json"
+        code, stdout, _ = run(
+            "check", "--in", str(auto), "--ltl", "p -> X p", "--bound", "1",
+            "--inclusion-bound", "1", "--report", str(report),
+        )
+        # base 1 shows no leak, and the output says the check was bounded
+        assert code == 0
+        assert "verdict: ok (containment bounded to bases up to 1)" in stdout
+        payload = json.loads(report.read_text())
+        assert payload["containment"] == "bounded" and not payload["exact_inclusion"]
+        code, stdout, _ = run(
+            "check", "--in", str(auto), "--ltl", "p -> X p", "--bound", "1",
+            "--inclusion-bound", "3",
+        )
+        assert code == 1 and "inclusion lassos checked: 32, violations: 8" in stdout
 
     def test_jobs_option_is_gone(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)
@@ -360,6 +411,39 @@ State: 0 "s"
 
 
 class TestSynthesize:
+    def test_accept_all_is_not_an_underapproximation(self, run, tmp_path):
+        # Containment was once checked only up to base n*k, so this query
+        # printed SAT with the 1-state accept-all automaton.
+        code, stdout, err = run(
+            "synthesize", "--ltl", "p -> X p", "--bound", "1", "--states", "1",
+            "--colors", "1",
+        )
+        assert code == 1 and stdout == "UNSAT\n", err
+
+    def test_minimal_expansion_gap_is_not_a_solver_failure(self, run):
+        # Expansion answers k=1 with the accept-all automaton, which the
+        # exact test rejects; brute force then decides each size.  This
+        # once exited 5, failing re-verification.
+        code, stdout, err = run(
+            "synthesize", "--ltl", "p -> X p", "--bound", "2", "--minimal",
+            "--max-states", "3", "--colors", "1",
+        )
+        assert code == 0 and stdout.startswith("SAT: k=3,"), err
+
+    def test_expansion_leak_falls_back_to_brute_force(self, run, tmp_path):
+        # The expansion witness accepts ({q}{})^w, outside the language;
+        # brute force has one that is contained.
+        out = tmp_path / "w.hoa"
+        code, stdout, err = run(
+            "synthesize", "--ltl", "q -> p R q", "--bound", "1", "--states", "2",
+            "--colors", "2", "--out", str(out),
+        )
+        assert code == 0 and stdout.startswith("SAT: k=2,"), err
+        doc = read_auto(out)
+        f = parse_ltl("q -> p R q", doc.ap_map.aps)
+        report = check_lasso_precise(doc.automaton, ltl_oracle(f, doc.ap_map), 1)
+        assert report.ok and report.exact_inclusion
+
     def test_fixed_budget_sat(self, run, tmp_path):
         out = tmp_path / "w.hoa"
         report = tmp_path / "r.json"

@@ -4,6 +4,7 @@ import pytest
 
 from lassokit.core import (
     Alphabet,
+    BuchiTable,
     ContractViolation,
     InputError,
     Lasso,
@@ -15,13 +16,13 @@ from lassokit.core import (
     complement_dpa,
     complete_with_sink,
     find_accepting_lasso,
+    intersection_lasso,
     is_buchi,
     is_complete,
     is_deterministic,
     is_empty,
     is_safety,
     lasso,
-    product_safety,
     reachable_states,
 )
 from lassokit import core
@@ -379,14 +380,21 @@ class TestInclusion:
 
     def test_product_intersects(self):
         s = self.safety_prefix()
-        prod = product_safety(s, GFB)
-        assert accepts_lasso(prod, lasso("a", "b"))
-        assert not accepts_lasso(prod, lasso("b", "b"))  # fails the safety half
-        assert not accepts_lasso(prod, lasso("a", "a"))  # fails the Buchi half
+        # "b infinitely often" as a Buchi table: state 1 just read b
+        gfb = BuchiTable(("a", "b"), (0,), ((0,), (1,), (0,), (1,)), (0, 1), 1)
+        witness = intersection_lasso(s, gfb)
+        assert witness == witness.canonical()
+        assert accepts_lasso(s, witness) and accepts_lasso(GFB, witness)
+        # b^w only: fails the safety half
+        only_b = BuchiTable(("a", "b"), (0,), ((), (0,)), (0,), 0)
+        assert intersection_lasso(s, only_b) is None
+        # a^w only: fails the Buchi half, whose one set the table never meets
+        only_a = BuchiTable(("a", "b"), (0,), ((0,), ()), (0,), 1)
+        assert intersection_lasso(s, only_a) is None
 
     def test_product_requires_safety_left(self):
         with pytest.raises(ContractViolation):
-            product_safety(GFB, GFB)
+            check_inclusion_exact(GFB, GFB)
 
     def test_inclusion_holds(self):
         # 'a then only b' is included in 'b infinitely often'

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from lassokit.core import InputError, Lasso, ParseError, lasso
+from lassokit.core import (
+    InputError,
+    Lasso,
+    ParityAutomaton,
+    ParseError,
+    accepts_lasso,
+    accepts_splits,
+    intersection_lasso,
+    lasso,
+)
 from lassokit.ltl import (
     ApLetterMap,
     atom,
@@ -18,13 +27,15 @@ from lassokit.ltl import (
     next_,
     parse_ltl,
     release,
+    tableau,
     until,
     true,
+    violation,
 )
-from lassokit.lassolab import unroll
-from lassokit import ltl
+from lassokit.lassolab import unroll, words_by_length
+from lassokit import core, ltl
 
-from helpers import naive_eval, rand_formula, rand_lasso
+from helpers import naive_eval, rand_automaton, rand_formula, rand_lasso
 
 PQ = ApLetterMap.from_aps(["p", "q"])
 P = ApLetterMap.from_aps(["p"])
@@ -211,3 +222,104 @@ class TestOracle:
         ]
         assert [oracle(w) for w in words] == [True] * 6
         assert seen == [Lasso((), (p,)), Lasso((e,), (p,)), Lasso((), (e, p))]
+
+
+def one_word(w: Lasso, m: ApLetterMap) -> ParityAutomaton:
+    """Safety automaton whose only word is the one of ``w``: its states
+    are the base positions."""
+    n = w.length
+    names = tuple(f"i{i}" for i in range(n))
+    step = {
+        (names[i], w.base[i]): frozenset({names[i + 1 if i + 1 < n else len(w.stem)]})
+        for i in range(n)
+    }
+    colors = {q: 0 for q in names}
+    return ParityAutomaton(m.alphabet, names, frozenset({names[0]}), step, colors)
+
+
+def with_constants(rng: random.Random, f):
+    c = rng.choice((true(), false()))
+    return rng.choice((f, conj(f, c), until(c, f), release(f, c), neg(until(f, c))))
+
+
+class TestTableau:
+    def test_accepts_exactly_the_models(self):
+        # Seeded corpus: 1-2 APs, every operator, constants included.  On
+        # each lasso the evaluators agree, the tableau of f accepts the
+        # word iff f holds, and the tableau of !f iff it does not.
+        rng = random.Random(17)
+        for i in range(800):
+            m = P if i % 2 else PQ
+            f = with_constants(rng, rand_formula(rng, m.aps, rng.randint(1, 8)))
+            w = rand_lasso(rng, m.alphabet)
+            truth = eval_on_lasso(f, w, m)
+            assert truth == naive_eval(f, w, m), (format_ltl(f), str(w))
+            word = one_word(w, m)
+            assert (intersection_lasso(word, tableau(f, m)) is not None) == truth
+            negation = tableau(f, m, negate=True)
+            assert (intersection_lasso(word, negation) is None) == truth
+
+    def test_acceptance_sets_come_from_untils(self):
+        assert tableau(parse_ltl("G p", ["p"]), P).sets == 0
+        assert tableau(parse_ltl("G p", ["p"]), P, negate=True).sets == 1
+        assert tableau(parse_ltl("G F p & G F q", ["p", "q"]), PQ).sets == 2
+        empty = tableau(parse_ltl("p & !p", ["p"]), P)
+        assert empty.moves[: len(P.letters)] == ((), ())
+
+    def test_cached_per_letter_map(self):
+        f = parse_ltl("p U q", ["p", "q"])
+        assert tableau(f, PQ) is tableau(f, PQ)
+        assert tableau(f, PQ, negate=True) is not tableau(f, PQ)
+        named = ApLetterMap(("p", "q"), ("a", "b", "c", "d"))
+        assert tableau(f, named).letters == ("a", "b", "c", "d")
+
+    def test_missing_atom_rejected(self):
+        with pytest.raises(InputError):
+            tableau(atom("q"), P)
+
+
+class TestViolation:
+    def test_witness_is_canonical_and_real(self):
+        accept_all = ParityAutomaton(
+            P.alphabet, ("q0",), frozenset({"q0"}),
+            {("q0", x): frozenset({"q0"}) for x in P.letters}, {"q0": 0},
+        )
+        f = parse_ltl("p -> X p", ["p"])
+        w = violation(accept_all, f, P)
+        assert w == Lasso(("{p}",), ("{}",)) == w.canonical()
+        assert not eval_on_lasso(f, w, P)
+        assert violation(accept_all, parse_ltl("p | !p", ["p"]), P) is None
+
+    def test_matches_bounded_search(self):
+        # The product's verdict equals a scan of every lasso of base up to
+        # the number of reachable product states (or the witness's base,
+        # if longer), on small deterministic and nondeterministic
+        # candidates.  Pairs whose scan would be too long are skipped.
+        rng = random.Random(23)
+        checked = {True: 0, False: 0}
+        for i in range(240):
+            m = P if i % 2 else PQ
+            f = with_constants(rng, rand_formula(rng, m.aps, rng.randint(1, 5)))
+            a = rand_automaton(rng, m.alphabet, max_states=2, deterministic=i % 3 == 0)
+            S = len(m.letters)
+            view = a.compiled
+            starts, moves = view.successor_sets()
+            pairs, _succ, _roots = core._product_graph(
+                starts, moves, S, range(S), tableau(f, m, negate=True)
+            )
+            witness = violation(a, f, m)
+            depth = max(len(pairs), witness.length if witness else 0)
+            if S ** depth * depth > 20000:
+                continue
+            if witness is not None:
+                assert accepts_lasso(a, witness) and not eval_on_lasso(f, witness, m)
+            phi = ltl_oracle(f, m)
+            found = any(
+                got and not phi(Lasso(tuple(m.letters[x] for x in word[:split]),
+                                      tuple(m.letters[x] for x in word[split:])))
+                for word in words_by_length(range(S), 1, depth)
+                for split, got in enumerate(accepts_splits(a, word))
+            )
+            assert found == (witness is not None), (format_ltl(f), i)
+            checked[found] += 1
+        assert min(checked.values()) >= 50 and sum(checked.values()) >= 180, checked

@@ -223,11 +223,22 @@ class TestCounterexampleGuided:
                 if not verify_certificate(q, decode(p, model)).ok:
                     unverified.append((str(q.formula), q.n, q.k, q.m))
         assert verdicts[0] and any(verdicts) and not all(verdicts)
-        # Known gap of the matrix, not of the engine (ROADMAP item 1): it
-        # checks containment only on runs that loop with the base-k word,
-        # so this witness accepts ({q}{})^w.  Full expansion picks the same
-        # kind of witness; brute force, which checks up to base n*k, does not.
+        # Known gap of the matrix, not of the engine: it checks containment
+        # only on runs that loop with the base-k word, so this witness
+        # accepts ({q}{})^w, which the exact product test finds.  Full
+        # expansion picks the same kind of witness; brute force, whose
+        # containment test is the product, does not.
         assert unverified == [("q -> p R q", 1, 2, 2)]
+
+    def test_solve_query_is_exact(self):
+        # solve_query hands a leaking expansion witness to brute force, so
+        # its verdicts equal the exact enumeration's and every witness
+        # passes the exact re-check, the gap above included.
+        for q in seeded_queries():
+            got = solve_query(q)
+            assert (got is None) == (brute_force_search(q) is None), q.formula
+            if got is not None:
+                assert verify_certificate(q, got).ok, q.formula
 
     def test_counterexamples_are_new_canonical_assignments(self, monkeypatch):
         found = []
@@ -289,8 +300,16 @@ class TestBruteForce:
         assert brute_force_search(q_of("F G p", 2, 1, 1)) is None
         assert calls == [(2, 2)]
         calls.clear()
-        # four candidates agree with X p on base 1; they share one list
+        # a formula oracle decides containment by the product: no list
         assert brute_force_search(q_of("X p", 1, 2, 1)) is not None
+        assert calls == [(1, 1)]
+        calls.clear()
+        # four candidates agree with X p on base 1; behind a bare oracle
+        # they share one list
+        q = q_of("X p", 1, 2, 1)
+        phi = ltl_oracle(q.formula, q.ap_map)
+        bare = lambda w: phi(w)
+        assert search_lasso_precise(q.ap_map.alphabet, bare, 1, 2, 1) is not None
         assert calls == [(1, 1), (1, 2)]
 
     def test_ceiling(self):
@@ -445,13 +464,25 @@ class TestSynthesizeMinimal:
             synthesize_minimal(parse_ltl("G p", ["p"]), P1, 1, 1, 0)
 
     def test_bad_certificate_rejected(self, tmp_path):
-        # A solver claiming SAT with an accept-everything witness must be
-        # caught by re-verification.
+        # A solver claiming SAT with an accept-everything witness is caught
+        # by the exact containment test, and brute force answers instead.
         q = SynthesisQuery(parse_ltl("G p", ["p"]), P1, 1, 1, 1)
         p = encode(q)
         lits = " ".join(str(v) for v in p.existential_vars)  # everything on
         cmd = fake_solver(
             tmp_path, "bad.sh", f"echo 'V {lits} 0'\nexit 10\n"
+        )
+        got = synthesize_minimal(parse_ltl("G p", ["p"]), P1, 1, 1, 1, solver=cmd)
+        assert got is not None and got[0] == 1
+        assert not accepts_lasso(got[1], EMPTY)
+        assert verify_certificate(q, got[1]).ok
+        # A contained witness that misses a base-n word of the language
+        # (everything off: no transitions) is caught by re-verification.
+        lits = " ".join(
+            str(v if v == p.color_vars[(0, 0)] else -v) for v in p.existential_vars
+        )
+        cmd = fake_solver(
+            tmp_path, "empty.sh", f"echo 'V {lits} 0'\nexit 10\n"
         )
         with pytest.raises(SolverFailure, match="re-verification"):
             synthesize_minimal(parse_ltl("G p", ["p"]), P1, 1, 1, 1, solver=cmd)
