@@ -331,16 +331,12 @@ def _cmd_check(args) -> int:
                     "automaton alphabet does not match the formula's AP alphabet"
                 )
         phi = ltl_oracle(formula, amap)
-        known = {"formula": formula, "ap_map": amap}
     else:
         ref = _read_doc(args.ref).automaton
         if ref.alphabet.letters != a.alphabet.letters:
             raise InputError("reference and input alphabets differ")
         phi = automaton_oracle(ref)
-        known = {"reference": ref}
-    report = check_lasso_precise(
-        a, phi, n, inclusion_bound=args.inclusion_bound, **known
-    )
+    report = check_lasso_precise(a, phi, n, inclusion_bound=args.inclusion_bound)
     print(report.summary())
     if args.report:
         _write_text(args.report, report.to_json() + "\n")

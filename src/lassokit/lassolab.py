@@ -23,7 +23,7 @@ from .core import (
     is_deterministic,
     is_safety,
 )
-from .ltl import ApLetterMap, LtlFormula, violation
+from .ltl import violation
 
 
 def unroll(w: Lasso, n2: int) -> Lasso:
@@ -80,9 +80,9 @@ class PrecisionReport:
     ``mismatches`` holds lassos of base length exactly n where automaton and
     oracle disagree; ``inclusion_violations`` holds accepted lassos of base
     length up to the inclusion bound that the oracle rejects, plus the
-    witness of the exact containment test when one ran
-    (``exact_inclusion``) and found a lasso the scan did not list.
-    Without the exact test, containment is only known up to the bound.
+    witness of the exact containment test when one ran and found a lasso
+    the scan did not list.  ``exact_inclusion`` tells the two scopes
+    apart: when it is False, containment is only known up to the bound.
     """
 
     n: int
@@ -108,7 +108,6 @@ class PrecisionReport:
             "checked_equal": self.checked_equal,
             "checked_inclusion": self.checked_inclusion,
             "exact_inclusion": self.exact_inclusion,
-            "containment": "exact" if self.exact_inclusion else "bounded",
             "ok": self.ok,
             "mismatches": [
                 {
@@ -130,15 +129,13 @@ class PrecisionReport:
 
     def summary(self) -> str:
         if self.exact_inclusion:
-            how = " (plus exact product test)"
             scope = "containment exact"
         else:
-            how = ""
             scope = f"containment bounded to bases up to {self.inclusion_bound}"
         lines = [
-            f"precision check at n={self.n}, inclusion bound {self.inclusion_bound}",
+            f"precision check at n={self.n}",
             f"  equality lassos checked: {self.checked_equal}, mismatches: {len(self.mismatches)}",
-            f"  inclusion lassos checked: {self.checked_inclusion}{how}, "
+            f"  inclusion lassos checked: {self.checked_inclusion}, "
             f"violations: {len(self.inclusion_violations)}",
             f"  verdict: {'ok' if self.ok else 'FAILED'} ({scope})",
         ]
@@ -189,8 +186,6 @@ def check_lasso_precise(
     n: int,
     inclusion_bound: Optional[int] = None,
     reference: Optional[ParityAutomaton] = None,
-    formula: Optional[LtlFormula] = None,
-    ap_map: Optional[ApLetterMap] = None,
 ) -> PrecisionReport:
     """Compare ``a`` against the oracle on all lassos of base length n
     (equality) and check that every accepted lasso satisfies the oracle.
@@ -198,10 +193,10 @@ def check_lasso_precise(
     The containment half is decided exactly, by one emptiness product, in
     two cases: a deterministic reference automaton is known, passed
     explicitly or carried by an automaton_oracle, and ``a`` is a safety
-    automaton; or an LTL formula and its letter map are known, passed
-    explicitly or carried by an ltl_oracle, and no inclusion bound is
-    given.  Otherwise it is tested exhaustively on all bases up to the
-    inclusion bound, which defaults to max(n, |a|); callers checking a
+    automaton; or the oracle is an ltl_oracle, which carries its formula
+    and letter map, and no inclusion bound is given.  Otherwise it is
+    tested exhaustively on all bases up to the inclusion bound, which
+    defaults to max(n, |a|); callers checking a
     large automaton against a bare oracle should pass a bound that they
     can afford.
     """
@@ -214,9 +209,7 @@ def check_lasso_precise(
         and is_deterministic(ref_auto)
         and ref_auto.alphabet.letters == a.alphabet.letters
     )
-    if formula is None:
-        formula = getattr(phi, "formula", None)
-        ap_map = getattr(phi, "ap_map", None)
+    formula = getattr(phi, "formula", None)
     by_formula = not by_reference and formula is not None and inclusion_bound is None
     exact = by_reference or by_formula
     if inclusion_bound is None:
@@ -232,7 +225,7 @@ def check_lasso_precise(
         if by_reference:
             witness = check_inclusion_exact(a, ref_auto)[1]
         else:
-            witness = violation(a, formula, ap_map)
+            witness = violation(a, formula, phi.ap_map)
         listed = {w.canonical() for w in report.inclusion_violations}
         if witness is not None and witness not in listed:
             report.inclusion_violations.append(witness)

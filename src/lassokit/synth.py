@@ -624,7 +624,7 @@ def verify_certificate(q: SynthesisQuery, a: ParityAutomaton) -> PrecisionReport
     lasso of base n plus exact containment, decided by the product with
     the tableau of the negated formula."""
     phi = ltl_oracle(q.formula, q.ap_map)
-    return check_lasso_precise(a, phi, q.n, formula=q.formula, ap_map=q.ap_map)
+    return check_lasso_precise(a, phi, q.n)
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +674,17 @@ def search_lasso_precise(
     target: str = "deterministic",
     ceiling: int = DEFAULT_SEARCH_CEILING,
     inclusion_bound: Optional[int] = None,
-    formula: Optional[LtlFormula] = None,
-    ap_map: Optional[ApLetterMap] = None,
 ) -> Optional[ParityAutomaton]:
     """Enumerate k-state, m-color automata over the alphabet and return the
     first one that agrees with the oracle on every base-n lasso and whose
     language is contained in the oracle's.
 
-    Containment is exact when the oracle's LTL formula and letter map are
-    known, passed explicitly or carried by an ``ltl_oracle``: a candidate
-    that passes the equality lassos is tested by the product with the
-    tableau of the negated formula.  For a bare oracle it is tested on
-    every lasso of base up to the inclusion bound (default n*k).
+    Containment is exact when the oracle is an ``ltl_oracle``, which
+    carries its formula and letter map: a candidate that passes the
+    equality lassos is tested by the product with the tableau of the
+    negated formula.  For a bare oracle it is tested on every lasso of
+    base up to the inclusion bound (default n*k), the only case the bound
+    applies to.
 
     Deterministic candidates are enumerated up to renaming (initial state
     fixed, states numbered in visit order); the nondeterministic mode
@@ -713,14 +712,12 @@ def search_lasso_precise(
         (word, [phi(_lasso_of(alphabet, word, split)) for split in range(n)])
         for word in words_by_length(range(S), n, n)
     ]
-    if formula is None:
-        formula = getattr(oracle, "formula", None)
-        ap_map = getattr(oracle, "ap_map", None)
+    formula = getattr(oracle, "formula", None)
     # contained(verdicts_of, starts, colors, moves): the containment test of
     # a candidate that agrees on every equality word, given its split
     # verdicts and its integer view
     if formula is not None:
-        negation = tableau(formula, ap_map, negate=True)
+        negation = tableau(formula, oracle.ap_map, negate=True)
 
         def contained(verdicts_of, starts, colors, moves) -> bool:
             witness = product_lasso(alphabet.letters, starts, colors, moves, negation)
@@ -855,8 +852,6 @@ def brute_force_search(
         q.m,
         target=q.target,
         ceiling=ceiling,
-        formula=q.formula,
-        ap_map=q.ap_map,
     )
 
 
@@ -1005,8 +1000,9 @@ def solve_query(
     """Decide one query and produce a witness automaton or None.
 
     Engine order: the external solver when a command is given, otherwise
-    internal expansion, with brute force as the fallback when expansion is
-    over its limit or its witness (or the solver's) fails the exact
+    internal expansion.  Brute force, which decides containment exactly,
+    answers instead when expansion is over its limit, when the solver says
+    SAT without a model, or when a witness from either fails the exact
     containment test.
     """
     if solver:
@@ -1018,10 +1014,10 @@ def solve_query(
             return _contained_or_enumerate(q, decode(p, model), search_ceiling)
         # verdict-only solver: materialize a witness by enumeration
         a = brute_force_search(q, ceiling=search_ceiling)
-        if a is None:
+        if a is None and _matrix_unsat(p, expansion_limit):
             raise SolverFailure(
-                "external solver reported SAT but no witness could be"
-                " materialized by enumeration"
+                "external solver reported SAT but the query's matrix is"
+                " unsatisfiable"
             )
         return a
     try:
@@ -1032,6 +1028,17 @@ def solve_query(
     if model is None:
         return None
     return _contained_or_enumerate(q, decode(p, model), search_ceiling)
+
+
+def _matrix_unsat(p: QbfProblem, expansion_limit: int) -> bool:
+    """Internal expansion refutes the 2-QBF question itself.  The exact
+    enumeration can answer UNSAT where the matrix, which only bounds
+    containment, is satisfiable; the solver's SAT is wrong only when the
+    matrix is not.  Over the expansion limit it cannot be refuted."""
+    try:
+        return solve_by_expansion(p, expansion_limit) is None
+    except ResourceLimit:
+        return False
 
 
 def _contained_or_enumerate(

@@ -441,6 +441,23 @@ class TestExternalSolver:
         with pytest.raises(SolverFailure):
             solve_query(q_of("F G p", 2, 1, 1), solver=cmd)
 
+    def test_honest_sat_outside_the_language_is_unsat(self, tmp_path):
+        # The matrix only bounds containment and admits the accept-all
+        # automaton for p -> X p, so an honest solver says SAT.  No
+        # contained witness exists; with a model or without, the answer is
+        # the exact UNSAT.
+        q = q_of("p -> X p", 1, 1, 1)
+        p = encode(q)
+        model = solve_by_expansion(p)
+        assert model is not None
+        lits = " ".join(str(v if model[v] else -v) for v in p.existential_vars)
+        with_model = fake_solver(
+            tmp_path, "cert.sh", f"echo 'V {lits} 0'\nexit 10\n"
+        )
+        verdict_only = fake_solver(tmp_path, "vo.sh", "exit 10\n")
+        assert solve_query(q, solver=with_model) is None
+        assert solve_query(q, solver=verdict_only) is None
+
     def test_unsat_verdict_short_circuits(self, tmp_path):
         cmd = fake_solver(tmp_path, "no.sh", "exit 20\n")
         assert solve_query(q_of("G p", 1, 1, 1), solver=cmd) is None
