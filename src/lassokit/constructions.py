@@ -125,11 +125,19 @@ def build_safety_lasso_precise(
             sets.append(key)
         return got
 
+    suffix_loop: dict[tuple[int, ...], int] = {}  # raw loop -> interned id
+
+    def loop_of(v: tuple[int, ...]) -> int:
+        got = suffix_loop.get(v)
+        if got is None:
+            got = suffix_loop[v] = intern(_canonical_parts((), v)[1])
+        return got
+
     level = []  # ids of the words of length n, in lexicographic order
     for w in product(range(S), repeat=n):
         word = tuple(map(letters.__getitem__, w))
         level.append(state_of(frozenset(
-            intern(_canonical_parts((), w[k:])[1])
+            loop_of(w[k:])
             for k in range(n)
             if phi(Lasso(word[:k], word[k:]))
         )))
@@ -289,9 +297,6 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
             return lo if kind != "pin" else a.coloring[q]
         return kept_even if h % 2 == 0 else kept_odd
 
-    def mk(kind: str, q: str, c: int, h: int) -> tuple:
-        return (kind, q, c, h)
-
     def name(node: tuple) -> str:
         kind, q, c, h = node
         if kind == "p1":
@@ -300,15 +305,15 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
         return f"track[{q},{c},{mark}]"
 
     (q0,) = a.initial
-    start = mk("p1", q0, 0, -1)
-    seen = {start}
+    start = ("p1", q0, 0, -1)
+    # each node's name, as a one-element target set, from when it is met
+    target = {start: frozenset({name(start)})}
     todo = deque([start])
     transitions: dict[tuple[str, str], frozenset[str]] = {}
     coloring: dict[str, int] = {}
-    order: list[tuple] = []
     while todo:
         node = todo.popleft()
-        order.append(node)
+        (src,) = target[node]
         kind, q, c, h = node
         for x in a.alphabet:
             nxt = a.successors(q, x)
@@ -318,40 +323,41 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
             mu2 = a.coloring[q2]
             if kind == "p1":
                 if c < limit - 1:
-                    dst = mk("p1", q2, c + 1, -1)
+                    dst = ("p1", q2, c + 1, -1)
                 else:
-                    dst = mk("t", q2, 0, mu2 if mu2 >= thr else -1)
+                    dst = ("t", q2, 0, mu2 if mu2 >= thr else -1)
             elif h == -1:
                 if c == limit:  # pinned: no eliminated color showed up in time
                     if not pinned_live or mu2 >= thr:
                         continue
-                    dst = mk("t", q2, limit, -1)
+                    dst = ("t", q2, limit, -1)
                 elif mu2 >= thr:
-                    dst = mk("t", q2, 0, mu2)
+                    dst = ("t", q2, 0, mu2)
                 else:
-                    dst = mk("t", q2, c + 1, -1)
+                    dst = ("t", q2, c + 1, -1)
             else:
                 if mu2 >= thr and mu2 > h:
-                    dst = mk("t", q2, 0, mu2)
+                    dst = ("t", q2, 0, mu2)
                 elif mu2 == h and not (kill_odd and h % 2 == 1):
-                    dst = mk("t", q2, 0, h)
+                    dst = ("t", q2, 0, h)
                 else:
                     if c + 1 >= limit:
                         continue  # tracked color went stale: reject
-                    dst = mk("t", q2, c + 1, h)
-            transitions[(name(node), x)] = frozenset({name(dst)})
-            if dst not in seen:
-                seen.add(dst)
+                    dst = ("t", q2, c + 1, h)
+            got = target.get(dst)
+            if got is None:
+                got = target[dst] = frozenset({name(dst)})
                 todo.append(dst)
+            transitions[(src, x)] = got
 
-    for node in order:
+    for node, (label,) in target.items():  # in the order nodes were met
         kind, q, c, h = node
         node_kind = kind if not (kind == "t" and h == -1 and c == limit) else "pin"
-        coloring[name(node)] = color_of(node_kind, q, h)
+        coloring[label] = color_of(node_kind, q, h)
     out = ParityAutomaton(
         a.alphabet,
-        tuple(name(v) for v in order),
-        frozenset({name(start)}),
+        tuple(coloring),
+        target[start],
         transitions,
         coloring,
     )

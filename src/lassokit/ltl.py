@@ -19,7 +19,6 @@ from .core import (
     MembershipOracle,
     ParityAutomaton,
     ParseError,
-    _canonical_parts,
     intersection_lasso,
 )
 
@@ -52,7 +51,7 @@ class LtlFormula:
     @cached_property
     def _programs(self) -> dict[tuple[str, ...], tuple]:
         """Compiled evaluation steps of this formula, one list per AP tuple,
-        filled by ``eval_on_lasso`` on first use."""
+        filled by ``_program`` on first use."""
         return {}
 
     @cached_property
@@ -364,8 +363,15 @@ def format_ltl(f: LtlFormula) -> str:
 
 # A formula compiles, once per AP tuple, into a postorder list of steps
 # (kind, x, y): x and y index earlier steps, or x is the AP bit of an atom.
-# Truth values along the base of a lasso are bit sets, bit i for position i;
-# position n-1 steps to position |stem|, where the loop starts again.
+# The last step is the formula itself.
+#
+# A lasso is evaluated in two halves, as in Markey and Schnoebelen's path
+# checking ("Model checking a path", CONCUR 2003).  On the loop, truth
+# values are bit sets, bit i for loop position i, and position m-1 steps to
+# position 0; until and release are fixpoints over them.  Packing the bit i
+# of every step gives the loop's vector at position i.  Every step's truth
+# at a position depends only on the letter there and on the vector one
+# position later, so the stem is folded in backwards one letter at a time.
 
 def _compile(f: LtlFormula, aps: tuple[str, ...]) -> tuple[tuple[str, int, int], ...]:
     steps: list[tuple[str, int, int]] = []
@@ -390,8 +396,16 @@ def _compile(f: LtlFormula, aps: tuple[str, ...]) -> tuple[tuple[str, int, int],
     return tuple(steps)
 
 
-def _run(steps, masks: list[int], wrap: int) -> int:
-    """Bit set of the base positions where the last step holds."""
+def _program(f: LtlFormula, m: ApLetterMap) -> tuple[tuple[str, int, int], ...]:
+    steps = f._programs.get(m.aps)
+    if steps is None:
+        steps = f._programs[m.aps] = _compile(f, m.aps)
+    return steps
+
+
+def _run(steps, masks: list[int]) -> list[int]:
+    """Bit set of the loop positions where each step holds, on the loop of
+    letter masks ``masks`` repeated forever."""
     last = len(masks) - 1
     full = (1 << len(masks)) - 1
     vals: list[int] = []
@@ -414,7 +428,7 @@ def _run(steps, masks: list[int], wrap: int) -> int:
         elif kind == "implies":
             v = (full ^ vals[x]) | vals[y]
         elif kind == "next":
-            v = vals[x] >> 1 | (vals[x] >> wrap & 1) << last
+            v = vals[x] >> 1 | (vals[x] & 1) << last
         else:
             # Fixpoints of v = g | (a & X v) (until, least) and
             # v = g & (a | X v) (release, greatest); eventually and always
@@ -430,38 +444,93 @@ def _run(steps, masks: list[int], wrap: int) -> int:
                 a, g, grow = 0, vals[x], False
             v = g
             while True:
-                nxt = v >> 1 | (v >> wrap & 1) << last
+                nxt = v >> 1 | (v & 1) << last
                 u = g | (a & nxt) if grow else g & (a | nxt)
                 if u == v:
                     break
                 v = u
         vals.append(v)
-    return vals[-1]
+    return vals
+
+
+def _vector(vals: list[int], i: int) -> int:
+    """Truth of every step at loop position ``i``, bit j for step j."""
+    v = 0
+    for j, bits in enumerate(vals):
+        v |= (bits >> i & 1) << j
+    return v
+
+
+def _step(steps, mask: int, nxt: int) -> int:
+    """Vector at a position that reads the letter ``mask``, from the vector
+    ``nxt`` at the position after it."""
+    v = 0
+    for j, (kind, x, y) in enumerate(steps):
+        if kind == "atom":
+            b = mask >> x & 1
+        elif kind == "true":
+            b = 1
+        elif kind == "false":
+            b = 0
+        elif kind == "not":
+            b = ~v >> x & 1
+        elif kind == "and":
+            b = v >> x & v >> y & 1
+        elif kind == "or":
+            b = (v >> x | v >> y) & 1
+        elif kind == "implies":
+            b = (~v >> x | v >> y) & 1
+        elif kind == "next":
+            b = nxt >> x & 1
+        elif kind == "until":
+            b = (v >> y | v >> x & nxt >> j) & 1
+        elif kind == "release":
+            b = v >> y & (v >> x | nxt >> j) & 1
+        elif kind == "eventually":
+            b = (v >> x | nxt >> j) & 1
+        else:  # always
+            b = v >> x & nxt >> j & 1
+        v |= b << j
+    return v
 
 
 def eval_on_lasso(f: LtlFormula, w: Lasso, m: ApLetterMap) -> bool:
     """Exact LTL truth of the infinite word induced by ``w`` at position 0."""
-    steps = f._programs.get(m.aps)
-    if steps is None:
-        steps = f._programs[m.aps] = _compile(f, m.aps)
-    masks = list(map(m.mask_of, w.base))
-    return bool(_run(steps, masks, len(w.stem)) & 1)
+    steps = _program(f, m)
+    vec = _vector(_run(steps, list(map(m.mask_of, w.loop))), 0)
+    for x in reversed(w.stem):
+        vec = _step(steps, m.mask_of(x), vec)
+    return bool(vec >> (len(steps) - 1) & 1)
 
 
 def ltl_oracle(f: LtlFormula, m: ApLetterMap) -> MembershipOracle:
-    """Membership oracle for L(f) with a cache.
+    """Membership oracle for L(f) that shares work across lassos.
 
-    Lassos are cached by canonical form, so representations of the same
-    infinite word share one evaluation.
+    It remembers the vector at the start of every loop it has evaluated
+    (one fixpoint run fills all rotations of a loop) and every stem step
+    (letter, vector after) -> vector it has taken, so lassos that share a
+    loop, or a loop and a stem suffix, share their evaluation.  The memo
+    lives as long as the oracle.
     """
-    cache: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
+    steps = _program(f, m)
+    top = len(steps) - 1
+    loops: dict[tuple[str, ...], int] = {}
+    stems: dict[tuple[str, int], int] = {}
 
     def oracle(w: Lasso) -> bool:
-        key = _canonical_parts(w.stem, w.loop)
-        value = cache.get(key)
-        if value is None:
-            value = cache[key] = eval_on_lasso(f, Lasso(*key), m)
-        return value
+        loop = w.loop
+        vec = loops.get(loop)
+        if vec is None:
+            vals = _run(steps, list(map(m.mask_of, loop)))
+            for i in range(len(loop)):
+                loops[loop[i:] + loop[:i]] = _vector(vals, i)
+            vec = loops[loop]
+        for x in reversed(w.stem):
+            nxt = stems.get((x, vec))
+            if nxt is None:
+                nxt = stems[x, vec] = _step(steps, m.mask_of(x), vec)
+            vec = nxt
+        return bool(vec >> top & 1)
 
     # Attached so that containment checks can decide exactly with the
     # tableau (``violation``) instead of scanning lassos.

@@ -494,7 +494,12 @@ def canonical_assignment_count(p: QbfProblem) -> int:
     """Universal assignments that survive loop wellformedness: every word
     (letters plus one loop marker) times every run (states plus one
     run-loop marker)."""
-    q = p.query
+    return _universal_count(p.query)
+
+
+def _universal_count(q: SynthesisQuery) -> int:
+    """``canonical_assignment_count`` of the encoding of ``q``, read off
+    the query alone."""
     S = len(q.ap_map.alphabet)
     N = max(q.k, q.n)
     R = q.n * q.k
@@ -1020,11 +1025,10 @@ def solve_query(
                 " unsatisfiable"
             )
         return a
-    try:
-        p = encode(q)
-        model = solve_by_expansion(p, expansion_limit)
-    except ResourceLimit:
+    if _universal_count(q) > expansion_limit:  # before paying for encode
         return brute_force_search(q, ceiling=search_ceiling)
+    p = encode(q)
+    model = solve_by_expansion(p, expansion_limit)
     if model is None:
         return None
     return _contained_or_enumerate(q, decode(p, model), search_ceiling)

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from lassokit.hoa import parse_hoa
 from lassokit.lassolab import check_lasso_precise, enumerate_bases
 from lassokit.ltl import ltl_oracle, parse_ltl
 from lassokit.synth import SOLVER_ENV_VAR
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture
@@ -188,6 +191,24 @@ class TestApproximate:
     def test_formula_without_atoms(self, run):
         code, _, err = run("approximate", "--ltl", "G 1", "--bound", "1")
         assert code == 2 and "atomic propositions" in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("ltl_under", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "under"]),
+        ("ltl_over", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "over"]),
+        ("parity2", ["--in", "fg-gf.hoa", "--bound", "2", "--target", "parity:2"]),
+    ])
+    def test_golden_output(self, run, tmp_path, monkeypatch, name, argv):
+        # Byte-for-byte the stdout and HOA text of tests/data/golden, so a
+        # change to the evaluator or the constructions that moves a state,
+        # a name or a label shows here.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fg-gf.hoa").write_text(lassokit.write_hoa(lassokit.fg_gf_dpa()[0]))
+        code, stdout, _ = run("approximate", *argv, "--out", "out.hoa")
+        assert code == 0
+        assert stdout == (GOLDEN / f"approximate_{name}.stdout").read_text()
+        assert (tmp_path / "out.hoa").read_text() == (
+            GOLDEN / f"approximate_{name}.hoa"
+        ).read_text()
 
     def test_ltl_output_ignores_hash_seed(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(lassokit.__file__)))

@@ -200,16 +200,22 @@ class TestOracle:
         b = Lasso(("{p}",), ("{p}", "{p}"))
         assert oracle(a) and oracle(b)
 
-    def test_one_evaluation_per_canonical_lasso(self, monkeypatch):
-        # Misses go through the module-level eval_on_lasso, once per word.
-        seen = []
-        real = ltl.eval_on_lasso
+    def test_one_fixpoint_per_rotation_class_and_memoised_stems(self, monkeypatch):
+        # A loop's fixpoint run fills the vectors of all its rotations, and
+        # a stem step (letter, vector after) is computed once per oracle.
+        runs, steps = [], []
+        real_run, real_step = ltl._run, ltl._step
 
-        def counted(f, w, m):
-            seen.append(w)
-            return real(f, w, m)
+        def counted_run(program, masks):
+            runs.append(masks)
+            return real_run(program, masks)
 
-        monkeypatch.setattr(ltl, "eval_on_lasso", counted)
+        def counted_step(program, mask, nxt):
+            steps.append(mask)
+            return real_step(program, mask, nxt)
+
+        monkeypatch.setattr(ltl, "_run", counted_run)
+        monkeypatch.setattr(ltl, "_step", counted_step)
         oracle = ltl_oracle(parse_ltl("G F p", ["p"]), P)
         e, p = P.letters
         words = [
@@ -221,7 +227,47 @@ class TestOracle:
             Lasso((e,), (p, e)),
         ]
         assert [oracle(w) for w in words] == [True] * 6
-        assert seen == [Lasso((), (p,)), Lasso((e,), (p,)), Lasso((), (e, p))]
+        # (p), (p,p) and (e,p); (p,e) is a rotation of (e,p)
+        assert runs == [[1], [1, 1], [0, 1]]
+        # p before a G F p loop, then e before it; every later step is
+        # the same pair again
+        assert steps == [1, 0]
+
+    def test_reused_oracle_against_naive_oracle(self):
+        # One oracle per formula answers many lassos, so loops, rotations
+        # and stem steps come from its memo; each answer must still equal
+        # the independent evaluator's.
+        rng = random.Random(59)
+        maps = (P, PQ, ApLetterMap.from_aps(["p", "q", "r"]))
+        for i in range(90):
+            m = maps[i % 3]
+            f = with_constants(rng, rand_formula(rng, m.aps, rng.randint(1, 9)))
+            oracle = ltl_oracle(f, m)
+            for _ in range(25):
+                w = rand_lasso(rng, m.alphabet, max_stem=6, max_loop=3)
+                turn = rng.randrange(len(w.loop))
+                for v in (
+                    w,
+                    Lasso(w.stem, w.loop * rng.randint(2, 3)),
+                    Lasso(w.stem, w.loop[turn:] + w.loop[:turn]),
+                ):
+                    assert oracle(v) == naive_eval(f, v, m), (format_ltl(f), str(v))
+
+    def test_foreign_letter_leaves_the_memo_intact(self):
+        f = parse_ltl("p U X q", ["p", "q"])
+        valid = [rand_lasso(random.Random(s), PQ.alphabet, max_stem=4) for s in range(30)]
+        expected = [eval_on_lasso(f, w, PQ) for w in valid]
+        oracle = ltl_oracle(f, PQ)
+        foreign = (
+            Lasso(("z",), ("{p}",)),
+            Lasso(("{p}",), ("{q}", "z")),
+            Lasso(("{p}", "z", "{q}"), ("{}",)),
+        )
+        for i, w in enumerate(valid):
+            with pytest.raises(InputError):
+                oracle(foreign[i % 3])
+            assert oracle(w) == expected[i], str(w)
+        assert [oracle(w) for w in valid] == expected
 
 
 def one_word(w: Lasso, m: ApLetterMap) -> ParityAutomaton:

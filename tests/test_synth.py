@@ -240,6 +240,19 @@ class TestCounterexampleGuided:
             if got is not None:
                 assert verify_certificate(q, got).ok, q.formula
 
+    def test_over_the_limit_never_encodes(self, monkeypatch):
+        # The expansion gate reads the query alone, so a query that goes
+        # to brute force is never encoded.
+        q = q_of("G F p", 2, 2, 1)
+        limit = canonical_assignment_count(encode(q)) - 1
+
+        def refused(_q):
+            raise AssertionError("encoded a query over the expansion limit")
+
+        monkeypatch.setattr(synth, "encode", refused)
+        got = solve_query(q, expansion_limit=limit)
+        assert got is not None and verify_certificate(q, got).ok
+
     def test_counterexamples_are_new_canonical_assignments(self, monkeypatch):
         found = []
         refute = synth._falsifying_assignment
