@@ -22,8 +22,7 @@ from .core import (
     BuchiTable,
     accepts_lasso,
     check_inclusion_exact,
-    complement_dpa,
-    complete_with_sink,
+    complement,
     find_accepting_lasso,
     intersection_lasso,
     is_buchi,
@@ -32,6 +31,8 @@ from .core import (
     is_empty,
     is_safety,
     lasso,
+    lasso_table,
+    product_accepts,
     product_lasso,
     reachable_states,
 )

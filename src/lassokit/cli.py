@@ -39,8 +39,7 @@ from .core import (
     ParseError,
     ResourceLimit,
     SolverFailure,
-    complement_dpa,
-    complete_with_sink,
+    complement,
     is_buchi,
     is_complete,
     is_deterministic,
@@ -277,7 +276,7 @@ def _cmd_approximate(args) -> int:
             out = build_safety_lasso_precise(ltl_oracle(formula, amap), sigma, n)
         else:
             inner = build_safety_lasso_precise(ltl_oracle(neg(formula), amap), sigma, n)
-            out = complement_dpa(complete_with_sink(inner))
+            out = complement(inner)
             bound += 1  # completion sink
         ap_out = amap if sigma == amap.alphabet else None
         what = f"{args.direction}-approximation of LTL {format_ltl(formula)}"
@@ -474,7 +473,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_complement(args) -> int:
     doc = _read_doc(args.infile)
-    out = complement_dpa(complete_with_sink(doc.automaton))
+    out = complement(doc.automaton)
     _emit_automaton(
         args,
         out,

@@ -20,8 +20,7 @@ from .core import (
     MembershipOracle,
     ParityAutomaton,
     _canonical_parts,
-    complement_dpa,
-    complete_with_sink,
+    complement,
     is_buchi,
     is_deterministic,
     is_safety,
@@ -35,7 +34,7 @@ def safety_state_bound(alphabet_size: int, n: int) -> int:
 
 def counter_state_bound(a: ParityAutomaton, n: int) -> int:
     """Worst-case state count of the visit-counter construction."""
-    f = sum(1 for q in a.states if _accepting_set(a, q))
+    f = len(_accepting_states(a))
     rest = a.size - f
     return n * rest * rest + f
 
@@ -201,12 +200,12 @@ def build_safety_lasso_precise(
     return out
 
 
-def _accepting_set(a: ParityAutomaton, q: str) -> bool:
+def _accepting_states(a: ParityAutomaton) -> set[str]:
     # Buchi inputs mark color-2 states; a safety automaton behaves like a
     # Buchi automaton whose states are all accepting.
     if is_safety(a):
-        return True
-    return a.coloring[q] == 2
+        return set(a.states)
+    return {q for q, c in a.coloring.items() if c == 2}
 
 
 def buechi_to_safety(a: ParityAutomaton, n: int) -> ParityAutomaton:
@@ -220,13 +219,13 @@ def buechi_to_safety(a: ParityAutomaton, n: int) -> ParityAutomaton:
         raise ContractViolation("input must be a Buchi or safety automaton")
     if n < 1:
         raise InputError("precision bound must be positive")
-    in_f = {q: _accepting_set(a, q) for q in a.states}
-    bound = n * sum(1 for q in a.states if not in_f[q])
+    in_f = _accepting_states(a)
+    bound = n * (a.size - len(in_f))
 
     def name(q: str, c: int) -> str:
         return f"({q},{c})"
 
-    initial = {(q, 0 if in_f[q] else 1) for q in a.initial}
+    initial = {(q, 0 if q in in_f else 1) for q in a.initial}
     transitions: dict[tuple[str, str], frozenset[str]] = {}
     seen = set(initial)
     todo = deque(initial)
@@ -235,7 +234,7 @@ def buechi_to_safety(a: ParityAutomaton, n: int) -> ParityAutomaton:
         for x in a.alphabet:
             targets = set()
             for q2 in a.successors(q, x):
-                if in_f[q2]:
+                if q2 in in_f:
                     targets.add((q2, 0))
                 elif c + 1 <= bound:
                     targets.add((q2, c + 1))
@@ -290,22 +289,28 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
     kept_even = max((c for c in range(lo, thr) if c % 2 == 0), default=0)
     kept_odd = max((c for c in range(lo, thr) if c % 2 == 1), default=1)
 
-    def color_of(kind: str, q: str, h: int) -> int:
+    # nodes carry state indices into the compiled table
+    view = a.compiled
+    table, colors = view.table, view.colors
+    dead = len(colors)
+    letters = a.alphabet.letters
+    S = len(letters)
+
+    def color_of(kind: str, q: int, h: int) -> int:
         if m_prime == 1:
             return 0
         if kind == "p1" or h == -1:
-            return lo if kind != "pin" else a.coloring[q]
+            return lo if kind != "pin" else colors[q]
         return kept_even if h % 2 == 0 else kept_odd
 
     def name(node: tuple) -> str:
         kind, q, c, h = node
         if kind == "p1":
-            return f"skip[{q},{c}]"
+            return f"skip[{a.states[q]},{c}]"
         mark = "-" if h == -1 else str(h)
-        return f"track[{q},{c},{mark}]"
+        return f"track[{a.states[q]},{c},{mark}]"
 
-    (q0,) = a.initial
-    start = ("p1", q0, 0, -1)
+    start = ("p1", view.initial, 0, -1)
     # each node's name, as a one-element target set, from when it is met
     target = {start: frozenset({name(start)})}
     todo = deque([start])
@@ -315,12 +320,11 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
         node = todo.popleft()
         (src,) = target[node]
         kind, q, c, h = node
-        for x in a.alphabet:
-            nxt = a.successors(q, x)
-            if not nxt:
+        for x, letter in enumerate(letters):
+            q2 = table[q * S + x]
+            if q2 == dead:
                 continue
-            (q2,) = nxt
-            mu2 = a.coloring[q2]
+            mu2 = colors[q2]
             if kind == "p1":
                 if c < limit - 1:
                     dst = ("p1", q2, c + 1, -1)
@@ -348,7 +352,7 @@ def reduce_parity_colors(a: ParityAutomaton, n: int, m_prime: int) -> ParityAuto
             if got is None:
                 got = target[dst] = frozenset({name(dst)})
                 todo.append(dst)
-            transitions[(src, x)] = got
+            transitions[(src, letter)] = got
 
     for node, (label,) in target.items():  # in the order nodes were met
         kind, q, c, h = node
@@ -381,15 +385,20 @@ def overapproximate(
     a: ParityAutomaton, n: int, mode: Union[str, int] = "safety"
 ) -> ParityAutomaton:
     """n-lasso-precise over-approximation: complement, under-approximate,
-    complement again.  ``mode`` is "safety" or a color budget."""
-    if not is_deterministic(a):
-        raise ContractViolation("over-approximation requires a deterministic automaton")
-    comp = complement_dpa(complete_with_sink(a))
-    budget = 1 if mode == "safety" else int(mode)
+    complement again.  ``mode`` is "safety" or a color budget (an int)."""
+    if mode == "safety":
+        budget = 1
+    elif isinstance(mode, int):
+        budget = mode
+    else:
+        raise InputError(f"unknown mode {mode!r}; use 'safety' or a color budget")
     if budget < 1:
         raise InputError("color budget must be positive")
+    if not is_deterministic(a):
+        raise ContractViolation("over-approximation requires a deterministic automaton")
+    comp = complement(a)
     if comp.color_count <= budget:
         inner = comp if budget > 1 or is_safety(comp) else _empty_safety(comp.alphabet)
     else:
         inner = reduce_parity_colors(comp, n, budget)
-    return complement_dpa(complete_with_sink(inner))
+    return complement(inner)

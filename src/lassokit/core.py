@@ -313,6 +313,26 @@ class BuchiTable:
     sets: int
 
 
+def lasso_table(letters: Sequence[str], base: Sequence[int], wrap: int) -> BuchiTable:
+    """The lasso with stem ``base[:wrap]`` and loop ``base[wrap:]`` (letter
+    indices into ``letters``) as a BuchiTable: state i reads ``base[i]``
+    and moves on, the last state back to ``wrap``.  With no acceptance
+    sets its one infinite run accepts, so the product with it accepts iff
+    the other side accepts the lasso."""
+    S = len(letters)
+    n = len(base)
+    moves = [()] * (n * S)
+    for i, x in enumerate(base):
+        moves[i * S + x] = (i + 1 if i + 1 < n else wrap,)
+    return BuchiTable(tuple(letters), (0,), tuple(moves), (0,) * n, 0)
+
+
+def _every_word(letters: Sequence[str]) -> BuchiTable:
+    """One state that reads every letter: the product with it is the
+    other side alone."""
+    return BuchiTable(tuple(letters), (0,), ((0,),) * len(letters), (0,), 0)
+
+
 def is_deterministic(a: ParityAutomaton) -> bool:
     """Single initial state and at most one successor per state and letter."""
     if len(a.initial) != 1:
@@ -334,93 +354,97 @@ def is_safety(a: ParityAutomaton) -> bool:
 
 
 def reachable_states(a: ParityAutomaton) -> set[str]:
-    seen = set(a.initial)
-    todo = deque(seen)
-    while todo:
-        q = todo.popleft()
-        for x in a.alphabet:
-            for q2 in a.successors(q, x):
-                if q2 not in seen:
-                    seen.add(q2)
-                    todo.append(q2)
-    return seen
+    starts, moves = a.compiled.successor_sets()
+    S = len(a.alphabet)
+    pairs, _succ, _roots = _product_graph(
+        starts, moves, S, range(S), _every_word(a.alphabet.letters)
+    )
+    return {a.states[q] for q, _v in pairs}
 
 
-def _sccs(nodes: list, succ: Mapping) -> list[list]:
-    """Tarjan's algorithm, iterative to dodge recursion limits."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    result: list[list] = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
+def _sccs(edges: Sequence[Optional[list[int]]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative to dodge recursion limits, on the
+    nodes v of 0..len(edges)-1 whose successor list ``edges[v]`` is not
+    None.  Components come out in Tarjan's order, roots tried in index
+    order."""
+    n = len(edges)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    result: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0 or edges[root] is None:
             continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(edges[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
+                    on_stack[w] = True
+                    work.append((w, iter(edges[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    result.append(comp)
     return result
 
 
 def _accepting_sccs(
-    nodes: list, edges, color_of, mark_of=None, full: int = 0
-) -> Iterator[tuple[int, list]]:
-    """Max-even cycle sweep: for each even color c from the top downward,
-    yield (c, component) for every SCC of the subgraph restricted to colors
+    succ: Sequence[list[tuple[int, int]]],
+    colors: Sequence[int],
+    marks: Optional[Sequence[int]] = None,
+    full: int = 0,
+) -> Iterator[tuple[int, list[int]]]:
+    """Max-even cycle sweep over the nodes 0..len(succ)-1, where
+    ``succ[v]`` lists the (letter, successor) pairs of v and ``colors[v]``
+    is its color: for each even color c from the top downward, yield
+    (c, component) for every SCC of the subgraph restricted to colors
     <= c that contains a color-c node, is non-trivial (more than one node,
-    or a self-loop) and whose nodes' marks (``mark_of``) cover every bit of
+    or a self-loop) and whose nodes' ``marks`` cover every bit of
     ``full``.  Each such component holds a closed walk through a color-c
     node and every acceptance set, and the graph has a cycle with even
-    maximal color meeting every set iff some component is yielded.
-    ``edges[v]`` lists the successors of v."""
-    if not nodes:
+    maximal color meeting every set iff some component is yielded."""
+    if not colors:
         return
-    top = max(map(color_of, nodes))
+    top = max(colors)
     for c in range(top - top % 2, -1, -2):
-        sub = [v for v in nodes if color_of(v) <= c]
-        subset = set(sub)
-        sub_edges = {v: [w for w in edges[v] if w in subset] for v in sub}
-        for comp in _sccs(sub, sub_edges):
-            if len(comp) == 1 and comp[0] not in sub_edges[comp[0]]:
+        keep = [col <= c for col in colors]
+        edges = [
+            [w for _x, w in out if keep[w]] if keep[v] else None
+            for v, out in enumerate(succ)
+        ]
+        for comp in _sccs(edges):
+            if len(comp) == 1 and comp[0] not in edges[comp[0]]:
                 continue
-            if not any(color_of(v) == c for v in comp):
+            if not any(colors[v] == c for v in comp):
                 continue
             if full:
                 seen = 0
                 for v in comp:
-                    seen |= mark_of(v)
+                    seen |= marks[v]
                 if seen & full != full:
                     continue
             yield c, comp
@@ -455,10 +479,14 @@ def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
         return det_split_verdicts(
             view.table, view.colors, len(view.letter_index), view.initial, word
         )
-    named = tuple(a.alphabet[x] for x in word)
-    return [
-        accepts_by_product(a, Lasso(named[:i], named[i:])) for i in range(len(word))
-    ]
+    # a loop, not a comprehension: a comprehension would turn ``view`` and
+    # ``word`` into closure cells and slow the deterministic path above
+    starts, moves = view.successor_sets()
+    verdicts = []
+    for i in range(len(word)):
+        table = lasso_table(a.alphabet.letters, word, i)
+        verdicts.append(product_accepts(starts, view.colors, moves, table))
+    return verdicts
 
 
 # Deterministic acceptance on a flat successor table (see CompiledAutomaton):
@@ -522,37 +550,33 @@ def det_split_verdicts(table, colors, S: int, q: int, word) -> list[bool]:
 
 
 def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
-    """Generic acceptance on the integer product of base positions and
-    states; cycles can only form among loop positions, and the run is
-    accepting iff some reachable cycle has an even maximal color."""
+    """Generic acceptance: the product of ``a`` with the lasso's word
+    (``lasso_table``) accepts iff some run of ``a`` on the word is
+    accepting."""
     view = a.compiled
-    S = len(view.letter_index)
     try:
         base = [view.letter_index[x] for x in w.base]
     except KeyError as exc:
         raise InputError(
             f"lasso letter {exc.args[0]!r} not in automaton alphabet"
         ) from None
-    n = len(base)
-    wrap = len(w.stem)
     starts, moves = view.successor_sets()
-    number = {q * n: j for j, q in enumerate(starts)}
-    pairs = [(0, q) for q in starts]
-    edges = []
-    for i, q in pairs:
-        i2 = i + 1 if i + 1 < n else wrap
-        out = []
-        for q2 in moves[q * S + base[i]]:
-            key = q2 * n + i2
-            node = number.get(key)
-            if node is None:
-                node = number[key] = len(pairs)
-                pairs.append((i2, q2))
-            out.append(node)
-        edges.append(out)
-    colors = [view.colors[q] for _i, q in pairs]
-    hit = _accepting_sccs(range(len(pairs)), edges, colors.__getitem__)
-    return next(hit, None) is not None
+    word = lasso_table(a.alphabet.letters, base, len(w.stem))
+    return product_accepts(starts, view.colors, moves, word)
+
+
+def product_accepts(
+    starts: Sequence[int],
+    colors: Sequence[int],
+    moves: Sequence[tuple[int, ...]],
+    b: BuchiTable,
+) -> bool:
+    """Whether ``product_lasso`` finds a witness, without building it, for
+    a parity side laid out over the letters of ``b`` (its letter x is
+    ``b.letters[x]``)."""
+    S = len(b.letters)
+    _pairs, hit, _graph = _product_sweep(starts, colors, moves, range(S), b)
+    return hit is not None
 
 
 def product_lasso(
@@ -567,10 +591,10 @@ def product_lasso(
 
     The parity side has initial states ``starts``, state colors ``colors``
     and the successors of state q on its letter x, named ``letters[x]``,
-    in ``moves[q * len(letters) + x]``; ``table``-less compiled views give
-    this layout directly (``CompiledAutomaton.successor_sets``).  Letters
-    of the two sides are matched by name.  Product states, and so the
-    witness, follow declaration order, never set iteration order.
+    in ``moves[q * len(letters) + x]``; compiled views give this layout
+    (``CompiledAutomaton.successor_sets``).  Letters of the two sides are
+    matched by name.  Product states, and so the witness, follow
+    declaration order, never set iteration order.
     """
     index = {x: i for i, x in enumerate(b.letters)}
     try:
@@ -579,16 +603,10 @@ def product_lasso(
         raise InputError(
             f"letter {exc.args[0]!r} missing from the product's Buchi side"
         ) from None
-    pairs, succ, roots = _product_graph(starts, moves, len(letters), relabel, b)
-    color_of = [colors[q] for q, _v in pairs].__getitem__
-    mark_of = [b.marks[v] for _q, v in pairs].__getitem__
-    full = (1 << b.sets) - 1
-    edges = [[t for _x, t in out] for out in succ]
-    nodes = range(len(pairs))
-    hit = next(_accepting_sccs(nodes, edges, color_of, mark_of, full), None)
+    _pairs, hit, graph = _product_sweep(starts, colors, moves, relabel, b)
     if hit is None:
         return None
-    stem, loop = _witness_steps(hit, roots, succ, color_of, mark_of, full)
+    stem, loop = _witness_steps(hit, *graph)
     return Lasso(
         tuple(letters[x] for _v, x in stem), tuple(letters[x] for _v, x in loop)
     ).canonical()
@@ -603,9 +621,12 @@ def intersection_lasso(a: ParityAutomaton, b: BuchiTable) -> Optional[Lasso]:
 
 
 def _product_graph(starts, moves, S: int, relabel, b: BuchiTable):
-    """Reachable part of the product: its state pairs, numbered in
-    breadth-first order from the initial pairs, the labelled successor
-    list [(letter, node), ...] of each, and the initial nodes."""
+    """Reachable part of the product of a parity side on integers with
+    ``b``, where the parity side's letter x is ``b``'s letter
+    ``relabel[x]``: its state pairs, numbered in breadth-first order from
+    the initial pairs, the labelled successor list [(letter, node), ...]
+    of each, and the initial nodes.  The one product builder: acceptance,
+    emptiness, reachability and containment all run on it."""
     T = len(b.letters)
     V = len(b.marks)
     number: dict[int, int] = {}
@@ -616,16 +637,17 @@ def _product_graph(starts, moves, S: int, relabel, b: BuchiTable):
                 number[q * V + v] = len(pairs)
                 pairs.append((q, v))
     roots = range(len(pairs))
-    succ: list[list[tuple[int, int]]] = []
+    # the letters on which each state of b moves, with its successors
     b_moves = b.moves
+    rows = [
+        [(x, vs) for x in range(S) if (vs := b_moves[v * T + relabel[x]])]
+        for v in range(V)
+    ]
+    succ: list[list[tuple[int, int]]] = []
     for q, v in pairs:
         out = []
         row_a = q * S
-        row_b = v * T
-        for x in range(S):
-            vs = b_moves[row_b + relabel[x]]
-            if not vs:
-                continue
+        for x, vs in rows[v]:
             for q2 in moves[row_a + x]:
                 for v2 in vs:
                     key = q2 * V + v2
@@ -638,41 +660,47 @@ def _product_graph(starts, moves, S: int, relabel, b: BuchiTable):
     return pairs, succ, roots
 
 
+def _product_sweep(starts, colors, moves, relabel, b: BuchiTable):
+    """The product's state pairs (``_product_graph``), the first component
+    of its max-even sweep (``_accepting_sccs``), None when it accepts
+    nothing, and the graph with node colors and marks that
+    ``_witness_steps`` reads."""
+    pairs, succ, roots = _product_graph(starts, moves, len(relabel), relabel, b)
+    node_colors = [colors[q] for q, _v in pairs]
+    full = (1 << b.sets) - 1
+    marks = [b.marks[v] for _q, v in pairs] if full else None
+    hit = next(_accepting_sccs(succ, node_colors, marks, full), None)
+    return pairs, hit, (roots, succ, node_colors, marks, full)
+
+
 def find_accepting_lasso(
     a: ParityAutomaton,
 ) -> Optional[tuple[RunLasso, Lasso]]:
     """Return an accepted lasso (run and word) of base length <= |a|, or None.
 
-    The witness takes a shortest path to an accepting simple cycle and is
-    cut at the first cycle contact, so stem and loop states are disjoint.
-    The search runs on state and letter indices in declaration order, so
-    the witness does not depend on set iteration order (string hashing).
+    The search is the product of ``a`` with the one-state table that
+    reads every word, so product nodes are the states of ``a``, numbered
+    breadth first in declaration order; the witness therefore does not
+    depend on set iteration order (string hashing).  It takes a shortest
+    path to an accepting simple cycle and is cut at the first cycle
+    contact, so stem and loop states are disjoint.
     """
-    index = {q: i for i, q in enumerate(a.states)}
-    colors = [a.coloring[q] for q in a.states]
-    succ = [
-        [
-            (x, t)
-            for x, letter in enumerate(a.alphabet.letters)
-            for t in sorted(map(index.__getitem__, a.successors(q, letter)))
-        ]
-        for q in a.states
-    ]
-    roots = sorted(map(index.__getitem__, a.initial))
-    reach = sorted(map(index.__getitem__, reachable_states(a)))
-    edges = [[t for _x, t in out] for out in succ]
-    hit = next(_accepting_sccs(reach, edges, colors.__getitem__), None)
+    view = a.compiled
+    starts, moves = view.successor_sets()
+    letters = a.alphabet.letters
+    pairs, hit, graph = _product_sweep(
+        starts, view.colors, moves, range(len(letters)), _every_word(letters)
+    )
     if hit is None:
         return None
-    stem, loop = _witness_steps(hit, roots, succ, colors.__getitem__)
-    letters = a.alphabet.letters
-    run = RunLasso(tuple(a.states[s] for s, _x in stem + loop), len(stem))
+    stem, loop = _witness_steps(hit, *graph)
+    run = RunLasso(tuple(a.states[pairs[v][0]] for v, _x in stem + loop), len(stem))
     return run, Lasso(
-        tuple(letters[x] for _s, x in stem), tuple(letters[x] for _s, x in loop)
+        tuple(letters[x] for _v, x in stem), tuple(letters[x] for _v, x in loop)
     )
 
 
-def _witness_steps(hit, roots, succ, color_of, mark_of=None, full: int = 0):
+def _witness_steps(hit, roots, succ, colors, marks, full: int):
     """Stem and loop, as [(node, letter), ...], of an accepting lasso
     through the component of ``hit`` (from ``_accepting_sccs``).
 
@@ -683,14 +711,14 @@ def _witness_steps(hit, roots, succ, color_of, mark_of=None, full: int = 0):
     numbered breadth-first, so least means near the initial nodes."""
     c, comp = hit
     comp_set = set(comp)
-    anchor = min(v for v in comp if color_of(v) == c)
+    anchor = min(v for v in comp if colors[v] == c)
     stops = [anchor]
-    seen = mark_of(anchor) if full else 0
+    seen = marks[anchor] if full else 0
     for j in range(full.bit_length()):
         if not seen >> j & 1:
-            stop = min(v for v in comp if mark_of(v) >> j & 1)
+            stop = min(v for v in comp if marks[v] >> j & 1)
             stops.append(stop)
-            seen |= mark_of(stop)
+            seen |= marks[stop]
     walk = []
     for src, dst in zip(stops, stops[1:] + [anchor]):
         walk += _leg(src, dst, comp_set, succ)
@@ -764,36 +792,31 @@ def is_empty(a: ParityAutomaton) -> bool:
     return find_accepting_lasso(a) is None
 
 
-def complete_with_sink(a: ParityAutomaton, sink_name: str = "sink") -> ParityAutomaton:
-    """Total-ize the transition function with one rejecting (odd) sink state.
+def complement(a: ParityAutomaton) -> ParityAutomaton:
+    """Complement of a deterministic parity automaton, in one pass.
 
-    Returns the automaton unchanged when it is already complete.
+    Every color moves up by one, which flips the parity of the maximal
+    recurring color.  Missing cells go to a fresh sink (named ``sink``,
+    primed until the name is new) of color 2: a run that died in ``a``
+    now stays in an accepting sink.  A complete automaton gets no sink.
     """
-    if is_complete(a):
-        return a
-    sink = sink_name
-    while sink in a.states:
-        sink = sink + "'"
-    transitions = dict(a.transitions)
-    for q in a.states + (sink,):
-        for x in a.alphabet:
-            transitions.setdefault((q, x), frozenset({sink}))
-    coloring = dict(a.coloring)
-    coloring[sink] = 1
-    return ParityAutomaton(
-        a.alphabet, a.states + (sink,), a.initial, transitions, coloring
-    )
-
-
-def complement_dpa(a: ParityAutomaton) -> ParityAutomaton:
-    """Complement a deterministic complete parity automaton by shifting all
-    colors up by one, which flips the parity of the maximal recurring color."""
     if not is_deterministic(a):
         raise ContractViolation("complement requires a deterministic automaton")
-    if not is_complete(a):
-        raise ContractViolation("complement requires a complete automaton")
+    states = a.states
+    letters = a.alphabet.letters
     coloring = {q: c + 1 for q, c in a.coloring.items()}
-    return ParityAutomaton(a.alphabet, a.states, a.initial, dict(a.transitions), coloring)
+    to_sink = None
+    # transitions are keyed by (state, letter) cells and never empty
+    if len(a.transitions) < len(states) * len(letters):
+        sink = "sink"
+        while sink in coloring:
+            sink += "'"
+        states += (sink,)
+        coloring[sink] = 2
+        to_sink = frozenset((sink,))
+    cells = product(states, letters)
+    transitions = {key: a.transitions.get(key, to_sink) for key in cells}
+    return ParityAutomaton(a.alphabet, states, a.initial, transitions, coloring)
 
 
 def check_inclusion_exact(
@@ -801,11 +824,9 @@ def check_inclusion_exact(
 ) -> tuple[bool, Optional[Lasso]]:
     """Exact test of L(s) <= L(ref) for safety s against deterministic ref.
 
-    Implemented as emptiness of one ``product_lasso``: the parity side is
-    the complement of the completed reference, built on its compiled
-    table (dead cells go to an accepting sink, every other color moves up
-    by one), and the Buchi side is s with every state accepting.  On
-    failure the canonical witness lies in L(s) but not in L(ref).
+    Implemented as emptiness of one product (``intersection_lasso``) of
+    ``complement(ref)`` with s as a Buchi table whose states all accept.
+    On failure the canonical witness lies in L(s) but not in L(ref).
     """
     if not is_deterministic(ref):
         raise ContractViolation("inclusion reference must be deterministic")
@@ -813,18 +834,7 @@ def check_inclusion_exact(
         raise ContractViolation("included automaton must be a safety automaton")
     if s.alphabet.letters != ref.alphabet.letters:
         raise InputError("inclusion requires identical alphabets")
-    view = ref.compiled
-    sink = len(view.colors)
-    S = len(view.letter_index)
-    moves = [(t,) for t in view.table] + [(sink,)] * S
-    colors = [c + 1 for c in view.colors] + [0]
-    safe = s.compiled
-    starts, safe_moves = safe.successor_sets()
-    word = product_lasso(
-        ref.alphabet.letters,
-        (view.initial,),
-        colors,
-        moves,
-        BuchiTable(s.alphabet.letters, starts, tuple(safe_moves), (0,) * s.size, 0),
-    )
+    starts, moves = s.compiled.successor_sets()
+    safe = BuchiTable(s.alphabet.letters, starts, tuple(moves), (0,) * s.size, 0)
+    word = intersection_lasso(complement(ref), safe)
     return word is None, word

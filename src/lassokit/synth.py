@@ -35,8 +35,9 @@ from .core import (
     ParityAutomaton,
     ResourceLimit,
     SolverFailure,
-    accepts_splits,
     det_split_verdicts,
+    lasso_table,
+    product_accepts,
     product_lasso,
 )
 from .lassolab import PrecisionReport, check_lasso_precise, words_by_length
@@ -490,16 +491,11 @@ def emit_qdimacs(p: QbfProblem) -> str:
 # ---------------------------------------------------------------------------
 # internal decision by counterexample-guided expansion
 
-def canonical_assignment_count(p: QbfProblem) -> int:
-    """Universal assignments that survive loop wellformedness: every word
-    (letters plus one loop marker) times every run (states plus one
-    run-loop marker)."""
-    return _universal_count(p.query)
-
-
-def _universal_count(q: SynthesisQuery) -> int:
-    """``canonical_assignment_count`` of the encoding of ``q``, read off
-    the query alone."""
+def canonical_assignment_count(q: SynthesisQuery) -> int:
+    """Universal assignments of the encoding of ``q`` that survive loop
+    wellformedness: every word (letters plus one loop marker) times every
+    run (states plus one run-loop marker).  Read off the query alone, so
+    it is known before ``encode`` runs."""
     S = len(q.ap_map.alphabet)
     N = max(q.k, q.n)
     R = q.n * q.k
@@ -530,9 +526,10 @@ def solve_by_expansion(
 
     Termination: each counterexample falsifies a candidate that satisfies
     every earlier instance, so no canonical assignment is returned twice,
-    and the loop runs at most ``canonical_assignment_count(p)`` rounds.
+    and the loop runs at most ``canonical_assignment_count(p.query)``
+    rounds.
     """
-    count = canonical_assignment_count(p)
+    count = canonical_assignment_count(p.query)
     if count > limit:
         raise ResourceLimit(
             f"expansion needs {count} universal instances, limit is {limit}"
@@ -767,22 +764,22 @@ def _decode_det_table(index: int, k: int, S: int) -> tuple:
     return tuple(digits)
 
 
-def _build_det(alphabet: Alphabet, table, mu, k: int) -> ParityAutomaton:
+def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
+    """The automaton of a candidate's integer view, states named q0, q1, ..."""
     S = len(alphabet)
-    names = [f"q{s}" for s in range(k)]
-    transitions = {}
-    for s in range(k):
-        for li in range(S):
-            t = table[s * S + li]
-            if t < k:
-                transitions[(names[s], alphabet[li])] = frozenset({names[t]})
-    coloring = {names[s]: mu[s] for s in range(k)}
+    names = [f"q{s}" for s in range(len(colors))]
+    transitions = {
+        (names[s], alphabet[li]): frozenset(names[t] for t in moves[s * S + li])
+        for s in range(len(colors))
+        for li in range(S)
+        if moves[s * S + li]
+    }
     return ParityAutomaton(
         alphabet=alphabet,
         states=tuple(names),
-        initial=frozenset({names[0]}),
+        initial=frozenset(names[s] for s in starts),
         transitions=transitions,
-        coloring=coloring,
+        coloring=dict(zip(names, colors)),
     )
 
 
@@ -802,40 +799,37 @@ def _scan_deterministic(alphabet, k, m, equality, contained):
             if moves is None:
                 moves = [() if t == k else (t,) for t in table]
             if contained(verdicts_of, (0,), mu, moves):
-                return _build_det(alphabet, table, mu, k)
+                return _build(alphabet, (0,), mu, moves)
     return None
 
 
 def _scan_nondeterministic(alphabet, k, m, equality, contained):
-    # experimental mode: no symmetry pruning beyond the initial-set shape
-    S = len(alphabet)
-    names = [f"q{s}" for s in range(k)]
+    # experimental mode: no symmetry pruning beyond the initial-set shape.
+    # Candidates stay integer views (starts, colors, moves) and meet each
+    # lasso through the product with its word table, built once per scan;
+    # only the witness becomes a ParityAutomaton.
+    letters = alphabet.letters
+
+    @functools.cache
+    def tables_of(word) -> list:
+        return [lasso_table(letters, word, split) for split in range(len(word))]
+
+    subsets = [tuple(t for t in range(k) if bits >> t & 1) for bits in range(1 << k)]
     for i0 in range(1, k + 1):
-        initial = frozenset(names[:i0])
-        for table in itertools.product(range(1 << k), repeat=k * S):
-            for mu_r in itertools.product(range(m), repeat=k):
-                transitions = {}
-                for s in range(k):
-                    for li in range(S):
-                        bits = table[s * S + li]
-                        if bits:
-                            transitions[(names[s], alphabet[li])] = frozenset(
-                                names[t] for t in range(k) if bits >> t & 1
-                            )
-                cand = ParityAutomaton(
-                    alphabet=alphabet,
-                    states=tuple(names),
-                    initial=initial,
-                    transitions=transitions,
-                    coloring={names[s]: mu_r[s] for s in range(k)},
-                )
-                verdicts_of = functools.partial(accepts_splits, cand)
-                if not _agrees(verdicts_of, equality):
-                    continue
-                view = cand.compiled
-                starts, moves = view.successor_sets()
-                if contained(verdicts_of, starts, view.colors, moves):
-                    return cand
+        starts = tuple(range(i0))
+        for table in itertools.product(subsets, repeat=k * len(letters)):
+            for colors in itertools.product(range(m), repeat=k):
+
+                def verdicts_of(word):
+                    return [
+                        product_accepts(starts, colors, table, b)
+                        for b in tables_of(word)
+                    ]
+
+                if _agrees(verdicts_of, equality) and contained(
+                    verdicts_of, starts, colors, table
+                ):
+                    return _build(alphabet, starts, colors, table)
     return None
 
 
@@ -1025,7 +1019,7 @@ def solve_query(
                 " unsatisfiable"
             )
         return a
-    if _universal_count(q) > expansion_limit:  # before paying for encode
+    if canonical_assignment_count(q) > expansion_limit:  # before paying for encode
         return brute_force_search(q, ceiling=search_ceiling)
     p = encode(q)
     model = solve_by_expansion(p, expansion_limit)

@@ -93,6 +93,46 @@ def naive_eval(f: LtlFormula, w: Lasso, m: ApLetterMap) -> bool:
     return ev(f, 0)
 
 
+def naive_accepts(a: ParityAutomaton, w: Lasso) -> bool:
+    """Membership of the lasso's word in L(a), without the library's
+    product or SCC code.  Nodes are (position, state) pairs reachable from
+    the initial states, where the position after the last base letter
+    wraps to the loop start.  The word is accepted iff, for some even
+    color c, a reachable node of color c gets back to itself through
+    nodes of color <= c only: a cycle whose maximal color is c."""
+    base = w.base
+    wrap = len(w.stem)
+
+    def step(node):
+        i, q = node
+        i2 = i + 1 if i + 1 < len(base) else wrap
+        return [(i2, q2) for q2 in a.successors(q, base[i])]
+
+    reach = {(0, q) for q in a.initial}
+    todo = list(reach)
+    while todo:
+        for nxt in step(todo.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+    for node in reach:
+        c = a.coloring[node[1]]
+        if c % 2:
+            continue
+        seen = set()
+        todo = [node]
+        while todo:
+            for nxt in step(todo.pop()):
+                if a.coloring[nxt[1]] > c:
+                    continue
+                if nxt == node:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    return False
+
+
 _KINDS = (
     "atom", "atom", "not", "and", "or", "implies",
     "next", "eventually", "always", "until", "release",

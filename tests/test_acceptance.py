@@ -22,8 +22,7 @@ from lassokit.core import (
     Alphabet,
     accepts_lasso,
     check_inclusion_exact,
-    complement_dpa,
-    complete_with_sink,
+    complement,
     is_deterministic,
     is_safety,
     reachable_states,
@@ -274,9 +273,9 @@ def test_property_suites():
         assert eval_on_lasso(f, unroll(w, w.length + rng.randrange(1, 4)), amap) == expected
 
     for _ in range(100):
-        a = complete_with_sink(rand_automaton(rng, sigma, deterministic=True))
-        twice = complement_dpa(complement_dpa(a))
-        once = complement_dpa(a)
+        a = rand_automaton(rng, sigma, deterministic=True)
+        once = complement(a)
+        twice = complement(once)
         for _ in range(5):
             w = rand_lasso(rng, sigma)
             assert accepts_lasso(once, w) == (not accepts_lasso(a, w))

@@ -196,6 +196,9 @@ class TestApproximate:
         ("ltl_under", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "under"]),
         ("ltl_over", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "over"]),
         ("parity2", ["--in", "fg-gf.hoa", "--bound", "2", "--target", "parity:2"]),
+        ("parity2_over", ["--in", "fg-gf.hoa", "--bound", "2", "--target", "parity:2",
+                          "--direction", "over"]),
+        ("safety_over", ["--in", "fg-gf.hoa", "--bound", "2", "--direction", "over"]),
     ])
     def test_golden_output(self, run, tmp_path, monkeypatch, name, argv):
         # Byte-for-byte the stdout and HOA text of tests/data/golden, so a

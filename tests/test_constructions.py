@@ -21,6 +21,7 @@ from lassokit.core import (
     is_deterministic,
     is_safety,
 )
+from lassokit import constructions
 from lassokit.families import fg_gf_dpa, phi_n_oracle
 from lassokit.lassolab import automaton_oracle, check_lasso_precise, enumerate_bases
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
@@ -310,3 +311,13 @@ class TestOverapproximate:
     def test_bad_budget(self):
         with pytest.raises(InputError):
             overapproximate(GFB, 2, 0)
+
+    def test_unknown_mode_string(self, monkeypatch):
+        # Checked before any work: the complement is never built.
+        def refused(_a):
+            raise AssertionError("complemented before checking the mode")
+
+        monkeypatch.setattr(constructions, "complement", refused)
+        for mode in ("parity:2", "x"):
+            with pytest.raises(InputError):
+                overapproximate(GFB, 2, mode)

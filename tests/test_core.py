@@ -13,8 +13,7 @@ from lassokit.core import (
     accepts_lasso,
     accepts_splits,
     check_inclusion_exact,
-    complement_dpa,
-    complete_with_sink,
+    complement,
     find_accepting_lasso,
     intersection_lasso,
     is_buchi,
@@ -28,7 +27,7 @@ from lassokit.core import (
 from lassokit import core
 from lassokit.lassolab import enumerate_bases, unroll
 
-from helpers import rand_automaton, rand_lasso
+from helpers import naive_accepts, rand_automaton, rand_lasso
 
 AB = Alphabet(("a", "b"))
 
@@ -282,6 +281,27 @@ class TestCompiledAcceptance:
                     word = [AB.index(x) for x in w.base]
                     assert accepts_splits(a, word)[len(w.stem)] == accepts_by_product(a, w)
 
+    def test_nondeterministic_against_naive_reference(self):
+        # accepts_lasso and accepts_splits go through the product with the
+        # lasso's word table; helpers.naive_accepts searches an explicit
+        # (position, state) graph for a cycle with even maximal color.
+        rng = random.Random(41)
+        abc = Alphabet(("a", "b", "c"))
+        verdicts = []
+        for i in range(160):
+            sigma = abc if i % 2 else AB
+            a = rand_automaton(rng, sigma, max_states=6, max_color=4)
+            if a.compiled.table is not None:
+                continue
+            for _ in range(6):
+                w = rand_lasso(rng, sigma, max_stem=4, max_loop=4)
+                want = naive_accepts(a, w)
+                assert accepts_lasso(a, w) == want, (i, w)
+                word = [sigma.index(x) for x in w.base]
+                assert accepts_splits(a, word)[len(w.stem)] == want, (i, w)
+                verdicts.append(want)
+        assert len(verdicts) > 700 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
     def test_unknown_letter_rejected(self):
         for a in (GFB, counter_dpa(2)):
             with pytest.raises(InputError):
@@ -311,6 +331,34 @@ class TestEmptiness:
             else:
                 assert accepts_lasso(a, found[1])
 
+    def test_witness_is_a_real_run(self):
+        # The run starts in an initial state, every step is a transition on
+        # the word's letter, the loop closes, its top color is even, and no
+        # state repeats; a lasso of base <= |a| exists iff one is found.
+        rng = random.Random(29)
+        found_count = 0
+        for i in range(120):
+            a = rand_automaton(rng, AB, max_states=4, max_color=4,
+                               deterministic=i % 3 == 0)
+            found = find_accepting_lasso(a)
+            if found is None:
+                assert not any(
+                    naive_accepts(a, w) for w in lassos_up_to(AB, a.size)
+                ), i
+                continue
+            found_count += 1
+            run, word = found
+            states = run.states
+            assert run.loop_start == len(word.stem)
+            assert len(states) == word.length <= a.size
+            assert len(set(states)) == len(states)
+            assert states[0] in a.initial
+            for j, q in enumerate(states):
+                nxt = states[j + 1] if j + 1 < len(states) else states[run.loop_start]
+                assert nxt in a.successors(q, word.base[j]), (i, j)
+            assert max(a.coloring[q] for q in run.loop_states) % 2 == 0
+        assert 40 < found_count < 110, found_count
+
     def test_reachable_states(self):
         a = ParityAutomaton(
             AB,
@@ -323,44 +371,65 @@ class TestEmptiness:
 
 
 class TestCompleteAndComplement:
-    def test_complete_with_sink_preserves_language(self):
+    def test_partial_input_flips(self):
+        # a^w only: the missing b cell goes to an accepting sink
         a = dpa({("x", "a"): {"x"}}, {"x": 0})
-        c = complete_with_sink(a)
+        c = complement(a)
+        assert c.states == ("x", "sink") and c.coloring == {"x": 1, "sink": 2}
         assert is_complete(c) and is_deterministic(c)
-        for w in (lasso("", "a"), lasso("", "b"), lasso("ab", "a")):
-            assert accepts_lasso(c, w) == accepts_lasso(a, w)
+        for w in lassos_up_to(AB, 4):
+            assert accepts_lasso(c, w) != accepts_lasso(a, w), w
+
+    def test_complete_input_gets_no_sink(self):
+        c = complement(GFB)
+        assert c.states == GFB.states and c.transitions == GFB.transitions
+        assert c.coloring == {"x": 0, "y": 1}  # {2, 3} normalized
 
     def test_sink_name_collision_avoided(self):
-        a = ParityAutomaton(
-            AB,
-            ("sink",),
-            frozenset({"sink"}),
-            {},
-            {"sink": 0},
-        )
-        c = complete_with_sink(a)
-        assert c.size == 2 and len(set(c.states)) == 2
+        for taken in (("sink",), ("sink", "sink'")):
+            a = ParityAutomaton(
+                AB, taken, frozenset({"sink"}), {}, dict.fromkeys(taken, 0)
+            )
+            c = complement(a)
+            assert c.states == taken + ("sink" + "'" * len(taken),)
+            assert accepts_lasso(c, lasso("", "ab"))
 
-    def test_complement_requires_complete(self):
-        a = dpa({("x", "a"): {"x"}}, {"x": 0})
+    def test_complement_requires_deterministic(self):
+        nd = ParityAutomaton(
+            AB, ("x", "y"), frozenset({"x"}),
+            {("x", "a"): frozenset({"x", "y"})}, {"x": 0, "y": 0},
+        )
         with pytest.raises(ContractViolation):
-            complement_dpa(a)
+            complement(nd)
+        two_starts = ParityAutomaton(
+            AB, ("x", "y"), frozenset({"x", "y"}), {}, {"x": 0, "y": 0}
+        )
+        with pytest.raises(ContractViolation):
+            complement(two_starts)
 
     def test_complement_flips_acceptance(self):
-        c = complement_dpa(complete_with_sink(GFB))
+        c = complement(GFB)
         rng = random.Random(3)
         for _ in range(100):
             w = rand_lasso(rng, AB)
             assert accepts_lasso(c, w) != accepts_lasso(GFB, w)
 
     def test_complement_involution(self):
+        # partial inputs: the first complement adds the sink, the second
+        # keeps it as a rejecting state
         rng = random.Random(5)
+        partial = 0
         for _ in range(60):
-            a = rand_automaton(rng, AB, max_states=4, deterministic=True)
-            cc = complement_dpa(complete_with_sink(complement_dpa(complete_with_sink(a))))
+            a = rand_automaton(rng, AB, max_states=4, deterministic=True, density=0.7)
+            partial += not is_complete(a)
+            once = complement(a)
+            twice = complement(once)
+            assert twice.size == once.size
             for _ in range(10):
                 w = rand_lasso(rng, AB)
-                assert accepts_lasso(cc, w) == accepts_lasso(a, w)
+                assert accepts_lasso(once, w) != accepts_lasso(a, w)
+                assert accepts_lasso(twice, w) == accepts_lasso(a, w)
+        assert partial > 30
 
 
 class TestInclusion:

@@ -104,9 +104,9 @@ class TestEncode:
         assert set(p.var_roles) == ex | un
 
     def test_canonical_count(self):
-        assert canonical_assignment_count(encode(q_of("G p", 1, 1, 1))) == 2
+        assert canonical_assignment_count(q_of("G p", 1, 1, 1)) == 2
         # S=2, N=2, R=4: (4*2) * (16*4)
-        assert canonical_assignment_count(encode(q_of("G p", 2, 2, 1))) == 512
+        assert canonical_assignment_count(q_of("G p", 2, 2, 1)) == 512
 
 
 class TestQdimacs:
@@ -214,7 +214,7 @@ class TestCounterexampleGuided:
         unverified = []
         for q in seeded_queries():
             p = encode(q)
-            assert canonical_assignment_count(p) <= DEFAULT_EXPANSION_LIMIT
+            assert canonical_assignment_count(p.query) <= DEFAULT_EXPANSION_LIMIT
             model = solve_by_expansion(p)
             assert (model is None) == (brute_force_search(q) is None), q.formula
             verdicts.append(model is not None)
@@ -244,7 +244,7 @@ class TestCounterexampleGuided:
         # The expansion gate reads the query alone, so a query that goes
         # to brute force is never encoded.
         q = q_of("G F p", 2, 2, 1)
-        limit = canonical_assignment_count(encode(q)) - 1
+        limit = canonical_assignment_count(q) - 1
 
         def refused(_q):
             raise AssertionError("encoded a query over the expansion limit")
@@ -270,7 +270,7 @@ class TestCounterexampleGuided:
             solve_by_expansion(p)
             keys = {frozenset(c.items()) for c in found}
             assert len(keys) == len(found)
-            assert len(found) <= canonical_assignment_count(p)
+            assert len(found) <= canonical_assignment_count(p.query)
             for c in found:
                 assert set(c) == set(p.universal_vars)
                 assert p.pool.fold(p.parts["universal_canonical"], c) == p.pool.TRUE
@@ -334,6 +334,15 @@ class TestBruteForce:
         a = brute_force_search(q)
         assert a is not None
         assert verify_certificate(q, a).ok
+
+    def test_nondeterministic_needs_two_initial_states(self):
+        # G p | G !p in two states and one color: one initial state per
+        # disjunct, which no single-start candidate and no DPA can match
+        q = q_of("G p | G !p", 1, 2, 1, target="nondeterministic")
+        a = brute_force_search(q)
+        assert a is not None and a.initial == {"q0", "q1"}
+        assert verify_certificate(q, a).ok
+        assert brute_force_search(q_of("G p | G !p", 1, 2, 1)) is None
 
     def test_raw_alphabet_entry_point(self):
         from lassokit.core import Alphabet
