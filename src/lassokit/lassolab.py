@@ -17,6 +17,7 @@ from .core import (
     Lasso,
     MembershipOracle,
     ParityAutomaton,
+    ResourceLimit,
     accepts_lasso,
     accepts_splits,
     check_inclusion_exact,
@@ -24,6 +25,12 @@ from .core import (
     is_safety,
 )
 from .ltl import violation
+
+SCAN_CEILING = 1_000_000
+"""Most lassos one precision check may scan: the sum over bases b up to the
+inclusion bound of |Σ|^b·b.  Scans grow by a factor |Σ| per base, and one
+of this size takes about a second; a larger one raises ResourceLimit
+before it starts."""
 
 
 def unroll(w: Lasso, n2: int) -> Lasso:
@@ -151,6 +158,20 @@ def default_inclusion_bound(a: ParityAutomaton, n: int) -> int:
     return max(n, a.size)
 
 
+def _require_affordable_scan(letters: int, bound: int) -> None:
+    """ResourceLimit, naming the largest bound that fits, when the lassos
+    of all bases up to ``bound`` are more than ``SCAN_CEILING``."""
+    total = 0
+    for b in range(1, bound + 1):
+        total += letters**b * b
+        if total > SCAN_CEILING:
+            raise ResourceLimit(
+                f"a scan up to base {bound} over {letters} letters checks more"
+                f" than {SCAN_CEILING} lassos; the largest bound that fits is"
+                f" {b - 1}"
+            )
+
+
 def _scan(a, phi, n, bound) -> PrecisionReport:
     """Check the lassos of every word (letter indices) of length 1..bound,
     in (word, split) order; a Lasso is only built when the oracle is
@@ -198,7 +219,8 @@ def check_lasso_precise(
     tested exhaustively on all bases up to the inclusion bound, which
     defaults to max(n, |a|); callers checking a
     large automaton against a bare oracle should pass a bound that they
-    can afford.
+    can afford.  A scan of more than ``SCAN_CEILING`` lassos raises
+    ResourceLimit before it starts.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
@@ -219,6 +241,7 @@ def check_lasso_precise(
     if bound < n:
         raise InputError("inclusion bound must be at least the precision bound")
 
+    _require_affordable_scan(len(a.alphabet), bound)
     report = _scan(a, phi, n, bound)
     if exact:
         report.exact_inclusion = True

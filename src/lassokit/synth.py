@@ -7,11 +7,14 @@ query: existential variables choose transitions and colors, universal
 variables range over candidate words (letter bits plus a loop marker) and
 candidate runs (state selectors plus a run-loop marker).
 
-Solving happens one of three ways: counterexample-guided expansion of
-the universals for instances under the expansion limit, with each step
-decided by the internal SAT search; handing a QDIMACS file to an external
-solver; or enumerating automata directly (the brute force path, which
-doubles as the test oracle for the other two).
+Solving happens one of three ways.  Without an external solver, a query
+whose candidate count is within the search ceiling is decided by
+enumerating automata directly (the brute force path, exact, and the test
+oracle for the other two); past the ceiling, counterexample-guided
+expansion of the universals decides instances under the expansion limit,
+with each step decided by the internal SAT search.  With one, the
+QDIMACS file is handed to the external solver.  The query's budgets pick
+the engine before anything is encoded.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def encode(q: SynthesisQuery) -> QbfProblem:
 
     Shape: automaton-wellformedness AND (loop-marker-wellformed IMPLIES
     (size-k accepting runs yield formula words) AND (formula words of base
-    n keep the run alive and any closed run loop has even maximal color)).
+    n keep the run alive and any closed run loop has even maximal color)
+    AND (accepting runs on words of base n yield formula words)).
     """
     k, n, m = q.k, q.n, q.m
     aps = q.ap_map.aps
@@ -341,9 +345,22 @@ def encode(q: SynthesisQuery) -> QbfProblem:
         P.conj(valid_n, word_models_n, tolerant_match),
         P.conj(run_all_defined, P.implies(run_loop_valid, run_loop_colors_even)),
     )
+    # accepting n*k-step runs on base-n words imply the formula; for n > k
+    # the base-k half above never sees these words
+    runs_imply_formula_n = P.implies(
+        P.conj(
+            valid_n,
+            tolerant_match,
+            run_all_defined,
+            run_loop_valid,
+            run_loop_colors_even,
+        ),
+        word_models_n,
+    )
 
     universal_part = P.implies(
-        loop_onehot, P.conj(runs_imply_formula, formula_words_accepted)
+        loop_onehot,
+        P.conj(runs_imply_formula, formula_words_accepted, runs_imply_formula_n),
     )
     matrix = P.conj(automaton_shape, universal_part)
     universal_canonical = P.conj_all(
@@ -363,6 +380,7 @@ def encode(q: SynthesisQuery) -> QbfProblem:
         "run_loop_valid": run_loop_valid,
         "run_loop_colors_even": run_loop_colors_even,
         "formula_words_accepted": formula_words_accepted,
+        "runs_imply_formula_n": runs_imply_formula_n,
         "universal_canonical": universal_canonical,
     }
 
@@ -566,6 +584,8 @@ def _falsifying_assignment(
     which ignores the run-loop marker, or closes a valid, hence one-hot,
     run loop.  Either way it stays falsifying when invalid run states are
     reset to state 0 and a run-loop marker that is not one-hot to step 0.
+    One that falsifies ``runs_imply_formula_n`` passes the tolerant match
+    and closes a valid run loop, so it is canonical already.
     """
     pool = p.pool
     asg = {v: bool(model.get(v, False)) for v in p.existential_vars}
@@ -968,10 +988,11 @@ def synthesize_minimal(
     """Smallest state budget in 1..k_max admitting a lasso-precise
     underapproximation, with its witness automaton.
 
-    Uses the external solver when one is given, otherwise internal
-    expansion, falling back to brute force when expansion would exceed its
-    limit.  Every certificate is re-verified before being returned; a
-    certificate failing re-verification raises SolverFailure.
+    Each size is one ``solve_query``: the external solver when one is
+    given, otherwise enumeration while the size's search space is under
+    the ceiling and expansion past it.  Every certificate is re-verified
+    before being returned; a certificate failing re-verification raises
+    SolverFailure.
     """
     if k_max < 1:
         raise InputError("state budget must be positive")
@@ -998,11 +1019,20 @@ def solve_query(
 ) -> Optional[ParityAutomaton]:
     """Decide one query and produce a witness automaton or None.
 
-    Engine order: the external solver when a command is given, otherwise
-    internal expansion.  Brute force, which decides containment exactly,
-    answers instead when expansion is over its limit, when the solver says
-    SAT without a model, or when a witness from either fails the exact
-    containment test.
+    With a solver command, the external solver answers, and brute force
+    materializes a verdict-only SAT or replaces a witness that fails the
+    exact containment test.  Without one, the engine is picked by the
+    query's budgets, read before anything is encoded:
+
+    - brute force when ``search_space_size`` is within ``search_ceiling``.
+      It is exact (equality on base n, containment by the tableau product)
+      and on every query that fits it much faster than expansion;
+    - otherwise counterexample-guided expansion when
+      ``canonical_assignment_count`` is within ``expansion_limit``.  Its
+      witness must pass the exact containment test, or ResourceLimit.  Its
+      UNSAT is exact for deterministic targets only; for nondeterministic
+      ones it raises ResourceLimit;
+    - otherwise ResourceLimit, naming both counts and both budgets.
     """
     if solver:
         p = encode(q)
@@ -1019,11 +1049,28 @@ def solve_query(
                 " unsatisfiable"
             )
         return a
-    if canonical_assignment_count(q) > expansion_limit:  # before paying for encode
+    space = search_space_size(len(q.ap_map.alphabet), q.k, q.m, q.target)
+    if space <= search_ceiling:
         return brute_force_search(q, ceiling=search_ceiling)
+    count = canonical_assignment_count(q)
+    if count > expansion_limit:
+        raise ResourceLimit(
+            f"search space has {space} candidates (ceiling {search_ceiling})"
+            f" and expansion needs {count} universal instances"
+            f" (limit {expansion_limit})"
+        )
     p = encode(q)
     model = solve_by_expansion(p, expansion_limit)
     if model is None:
+        if q.target == "nondeterministic":
+            # the matrix starts every run in q0 and asks every run of a
+            # formula word to accept, so its UNSAT does not cover automata
+            # that accept by one run of several
+            raise ResourceLimit(
+                "expansion refutes only deterministic targets, and the"
+                f" search space has {space} candidates, ceiling is"
+                f" {search_ceiling}"
+            )
         return None
     return _contained_or_enumerate(q, decode(p, model), search_ceiling)
 
@@ -1044,10 +1091,19 @@ def _contained_or_enumerate(
 ) -> Optional[ParityAutomaton]:
     """``a`` if its language lies inside the formula's, otherwise the
     brute-force answer.  The matrix only bounds containment (its
-    ``runs_imply_formula`` covers runs that loop with a base-k word), so
-    its verdict is trusted only with a witness that the exact product
-    test accepts; when that test fails, the query goes to the exact
-    enumeration as if expansion had been over its limit."""
-    if violation(a, q.formula, q.ap_map) is None:
+    ``runs_imply_formula`` halves cover runs that loop with a word of base
+    k or n), so its verdict is trusted only with a witness that the exact
+    product test accepts.  When that test fails, the exact enumeration
+    decides the query if its search space is within the ceiling; past the
+    ceiling nothing can, and ResourceLimit says so."""
+    leak = violation(a, q.formula, q.ap_map)
+    if leak is None:
         return a
+    space = search_space_size(len(q.ap_map.alphabet), q.k, q.m, q.target)
+    if space > search_ceiling:
+        raise ResourceLimit(
+            f"the witness accepts {leak}, outside the language, and"
+            f" enumeration cannot decide instead: search space has {space}"
+            f" candidates, ceiling is {search_ceiling}"
+        )
     return brute_force_search(q, ceiling=search_ceiling)

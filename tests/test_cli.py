@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,23 @@ State: 0 "s"
         )
         assert code == 1 and "inclusion lassos checked: 32, violations: 8" in stdout
 
+    def test_unaffordable_bounded_scan_exits_4(self, run, tmp_path):
+        # A 62-state parity:2 approximation against a Buchi reference
+        # takes the bounded scan with the default bound 62, about 4^62
+        # words; it once ran until killed.
+        fggf, p2 = tmp_path / "fg-gf.hoa", tmp_path / "p2.hoa"
+        run("family", "fg-gf", "--out", str(fggf))
+        run("approximate", "--in", str(fggf), "--bound", "3",
+            "--target", "parity:2", "--out", str(p2))
+        for extra in ((), ("--inclusion-bound", "9")):
+            t0 = time.monotonic()
+            code, stdout, err = run(
+                "check", "--in", str(p2), "--ref", str(fggf), "--bound", "3", *extra
+            )
+            assert time.monotonic() - t0 < 1.0
+            assert code == 4 and stdout == "", err
+            assert "largest bound that fits is 8" in err
+
     def test_jobs_option_is_gone(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)
         code, _, _ = run(
@@ -445,9 +463,9 @@ class TestSynthesize:
         assert code == 1 and stdout == "UNSAT\n", err
 
     def test_minimal_expansion_gap_is_not_a_solver_failure(self, run):
-        # Expansion answers k=1 with the accept-all automaton, which the
-        # exact test rejects; brute force then decides each size.  This
-        # once exited 5, failing re-verification.
+        # The matrix once admitted the accept-all automaton at k=1 and
+        # this exited 5, failing re-verification.  Every size is now
+        # within the search ceiling, so brute force decides each one.
         code, stdout, err = run(
             "synthesize", "--ltl", "p -> X p", "--bound", "2", "--minimal",
             "--max-states", "3", "--colors", "1",
@@ -455,8 +473,9 @@ class TestSynthesize:
         assert code == 0 and stdout.startswith("SAT: k=3,"), err
 
     def test_expansion_leak_falls_back_to_brute_force(self, run, tmp_path):
-        # The expansion witness accepts ({q}{})^w, outside the language;
-        # brute force has one that is contained.
+        # The expansion witness accepts ({q}{})^w, outside the language.
+        # The query is within the search ceiling, so brute force answers,
+        # with a witness that is contained.
         out = tmp_path / "w.hoa"
         code, stdout, err = run(
             "synthesize", "--ltl", "q -> p R q", "--bound", "1", "--states", "2",

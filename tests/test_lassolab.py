@@ -8,10 +8,12 @@ from lassokit.core import (
     InputError,
     Lasso,
     ParityAutomaton,
+    ResourceLimit,
     accepts_by_product,
     accepts_lasso,
     lasso,
 )
+from lassokit import lassolab
 from lassokit.lassolab import (
     PrecisionReport,
     automaton_oracle,
@@ -207,6 +209,25 @@ class TestCheckLassoPrecise:
             check_lasso_precise(ONLY_A, in_only_a, 0)
         with pytest.raises(InputError):
             check_lasso_precise(ONLY_A, in_only_a, 2, inclusion_bound=1)
+
+    def test_scan_over_the_ceiling_is_refused(self, monkeypatch):
+        # Bases up to 19 over two letters are 19,922,946 lassos; the
+        # largest bound whose scan fits is 15 (917,506 lassos).
+        def scanned(*_args):
+            raise AssertionError("scanned past the ceiling")
+
+        monkeypatch.setattr(lassolab, "_scan", scanned)
+        with pytest.raises(ResourceLimit, match="largest bound that fits is 15"):
+            check_lasso_precise(LEAKY, in_only_a, 1, inclusion_bound=19)
+        with pytest.raises(ResourceLimit):
+            check_lasso_precise(ONLY_A, automaton_oracle(ONLY_A), 19)
+
+    def test_scan_of_exactly_the_ceiling_runs(self, monkeypatch):
+        monkeypatch.setattr(lassolab, "SCAN_CEILING", 2**1 * 1 + 2**2 * 2)
+        report = check_lasso_precise(LEAKY, in_only_a, 1, inclusion_bound=2)
+        assert report.checked_inclusion == 8
+        with pytest.raises(ResourceLimit, match="largest bound that fits is 2"):
+            check_lasso_precise(LEAKY, in_only_a, 1, inclusion_bound=3)
 
     def test_against_ltl_oracle(self):
         pmap = ApLetterMap.from_aps(["p"])

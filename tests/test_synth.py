@@ -94,6 +94,7 @@ class TestEncode:
             "run_loop_valid",
             "run_loop_colors_even",
             "formula_words_accepted",
+            "runs_imply_formula_n",
         ):
             assert name in p.parts, name
 
@@ -192,6 +193,12 @@ class TestExpansion:
         assert rejected >= 1
 
 
+def expansion_only(q: SynthesisQuery) -> int:
+    """A search ceiling just below the query's candidate count, so that
+    ``solve_query`` decides it by expansion."""
+    return search_space_size(len(q.ap_map.alphabet), q.k, q.m, q.target) - 1
+
+
 def seeded_queries() -> list[SynthesisQuery]:
     """G F p at n=2, k=3, m=2 plus seeded random 1-AP and 2-AP queries,
     all under the expansion limit."""
@@ -231,18 +238,25 @@ class TestCounterexampleGuided:
         assert unverified == [("q -> p R q", 1, 2, 2)]
 
     def test_solve_query_is_exact(self):
-        # solve_query hands a leaking expansion witness to brute force, so
-        # its verdicts equal the exact enumeration's and every witness
-        # passes the exact re-check, the gap above included.
+        # Past the search ceiling solve_query answers by expansion, and it
+        # returns only witnesses that pass the exact containment test: its
+        # verdicts equal the exact enumeration's, except for the gap above,
+        # which it refuses rather than answer wrongly.
+        refused = []
         for q in seeded_queries():
-            got = solve_query(q)
+            try:
+                got = solve_query(q, search_ceiling=expansion_only(q))
+            except ResourceLimit:
+                refused.append((str(q.formula), q.n, q.k, q.m))
+                continue
             assert (got is None) == (brute_force_search(q) is None), q.formula
             if got is not None:
                 assert verify_certificate(q, got).ok, q.formula
+        assert refused == [("q -> p R q", 1, 2, 2)]
 
     def test_over_the_limit_never_encodes(self, monkeypatch):
-        # The expansion gate reads the query alone, so a query that goes
-        # to brute force is never encoded.
+        # Both gates read the query alone, so a query past both budgets is
+        # refused before it is encoded, with both counts in the message.
         q = q_of("G F p", 2, 2, 1)
         limit = canonical_assignment_count(q) - 1
 
@@ -250,8 +264,77 @@ class TestCounterexampleGuided:
             raise AssertionError("encoded a query over the expansion limit")
 
         monkeypatch.setattr(synth, "encode", refused)
-        got = solve_query(q, expansion_limit=limit)
+        with pytest.raises(ResourceLimit) as exc:
+            solve_query(q, expansion_limit=limit, search_ceiling=expansion_only(q))
+        message = str(exc.value)
+        assert str(search_space_size(2, 2, 1, "deterministic")) in message
+        assert str(canonical_assignment_count(q)) in message
+        assert str(limit) in message and str(expansion_only(q)) in message
+
+    def test_under_the_ceiling_never_encodes(self, monkeypatch):
+        # The queries of the benchmark's synth-expand workload, fixed size
+        # and --minimal: every one is within the search ceiling, so brute
+        # force decides it and nothing is encoded.
+        def refused(_q):
+            raise AssertionError("encoded a query under the search ceiling")
+
+        monkeypatch.setattr(synth, "encode", refused)
+        fa, gf = parse_ltl("F p", ["p"]), parse_ltl("G F p", ["p"])
+        for f, n, k, m, sat in (
+            (gf, 2, 3, 2, True),
+            (fa, 3, 2, 2, True),
+            (gf, 3, 2, 1, False),
+        ):
+            q = SynthesisQuery(f, P1, n, k, m)
+            got = solve_query(q)
+            assert (got is not None) == sat, (str(f), n, k, m)
+            if got is not None:
+                assert verify_certificate(q, got).ok
+        assert synthesize_minimal(fa, P1, 3, 2, 3)[0] == 2
+        assert synthesize_minimal(gf, P1, 2, 2, 3)[0] == 2
+
+    def test_leaking_witness_past_the_ceiling_is_refused(self):
+        # Expansion's witness for this query accepts ({q}{})^w, outside
+        # the language.  Under the ceiling brute force answers instead;
+        # past it nothing can, and solve_query says so.
+        q = SynthesisQuery(parse_ltl("q -> p R q", ["p", "q"]), P2, 1, 2, 2)
+        got = solve_query(q)
         assert got is not None and verify_certificate(q, got).ok
+        with pytest.raises(ResourceLimit, match="outside the language"):
+            solve_query(q, search_ceiling=expansion_only(q))
+
+    def test_nondeterministic_unsat_is_not_trusted(self):
+        # The matrix starts every run in q0 and asks every run of a base-n
+        # formula word to accept; the contained witness below has a run
+        # that dies on {}, so expansion answers UNSAT where one exists.
+        q = q_of("p -> X p", 2, 2, 1, target="nondeterministic")
+        assert solve_by_expansion(encode(q)) is None
+        got = solve_query(q)
+        assert got is not None and verify_certificate(q, got).ok
+        with pytest.raises(ResourceLimit, match="only deterministic"):
+            solve_query(q, search_ceiling=expansion_only(q))
+
+    def test_matrix_rejects_accepted_words_outside_the_language(self):
+        # For n > k the base-k half of the matrix never sees the words of
+        # base n; runs_imply_formula_n does.  Without it, expansion
+        # answered SAT with a leaking witness on 18 of these 78 queries
+        # (p -> X p, G (p -> X p), p | X G !p).
+        rng = random.Random(11)
+        texts = ["p -> X p", "G (p -> X p)", "p | X G !p", "G F p", "F G p",
+                 "X X p", "p U X p"]
+        formulas = [parse_ltl(t, ["p"]) for t in texts]
+        formulas += [rand_formula(rng, ["p"], 5) for _ in range(6)]
+        for f in formulas:
+            for n, k, m in ((2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2),
+                            (3, 2, 1), (3, 2, 2)):
+                q = SynthesisQuery(f, P1, n, k, m)
+                p = encode(q)
+                model = solve_by_expansion(p)
+                assert (model is None) == (brute_force_search(q) is None), (
+                    str(f), n, k, m)
+                if model is not None:
+                    assert verify_certificate(q, decode(p, model)).ok, (
+                        str(f), n, k, m)
 
     def test_counterexamples_are_new_canonical_assignments(self, monkeypatch):
         found = []
@@ -292,7 +375,7 @@ class TestBruteForce:
             ("p U X p", 2, 2),
         ):
             q = q_of(text, n, k, 1)
-            via_sat = solve_query(q)
+            via_sat = solve_query(q, search_ceiling=expansion_only(q))
             via_enum = brute_force_search(q)
             assert (via_sat is None) == (via_enum is None), text
             if via_enum is not None:
