@@ -491,8 +491,9 @@ def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
 
 # Deterministic acceptance on a flat successor table (see CompiledAutomaton):
 # the successor of state q on letter x is table[q * S + x], and
-# len(colors) is the dead cell.  Synthesis runs its candidate tables
-# through the same routines.
+# len(colors) is the dead cell.  The brute-force synthesis scan asks the
+# coloring-free question instead (``det_split_recurring``): which states
+# recur, so that one run serves every coloring of a candidate table.
 
 def det_accepts(table, colors, S: int, q: int, stem, loop) -> bool:
     """Run the table from state q on the lasso ``stem . loop^w``."""
@@ -522,6 +523,49 @@ def _det_rounds(table, colors, S: int, q: int, loop, entry: dict, tops: list) ->
                 return False
         tops.append(top)
     return max(tops[entry[q]:]) % 2 == 0
+
+
+def _det_recurring(table, dead: int, S: int, q: int, loop, entry: dict, rounds: list) -> int:
+    """``_det_rounds`` without colors: the bit set of the states visited in
+    the recurring rounds (``rounds`` holds the bit set of each round
+    simulated so far), or 0 if the run dies."""
+    while q not in entry:
+        entry[q] = len(rounds)
+        states = 0
+        for x in loop:
+            states |= 1 << q
+            q = table[q * S + x]
+            if q == dead:
+                return 0
+        rounds.append(states)
+    states = 0
+    for seen in rounds[entry[q]:]:
+        states |= seen
+    return states
+
+
+def det_split_recurring(table, dead: int, S: int, q: int, word) -> list[int]:
+    """For every split of ``word``, the bit set of the states that the run
+    from q visits infinitely often on the lasso (0 if it dies): the lasso
+    is accepted under ``colors`` iff the set is non-empty and its highest
+    color is even.  Shares the run along the word between splits the way
+    ``det_split_verdicts`` does."""
+    run = [q]
+    for x in word:
+        q = table[q * S + x]
+        if q == dead:
+            return [0] * len(word)
+        run.append(q)
+    recurring = [0] * len(word)
+    states = 0
+    for i in range(len(word) - 1, -1, -1):
+        start = run[i]
+        states |= 1 << start
+        if q == start:
+            recurring[i] = states
+        else:
+            recurring[i] = _det_recurring(table, dead, S, q, word[i:], {start: 0}, [states])
+    return recurring
 
 
 def det_split_verdicts(table, colors, S: int, q: int, word) -> list[bool]:

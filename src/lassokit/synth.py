@@ -38,6 +38,7 @@ from .core import (
     ParityAutomaton,
     ResourceLimit,
     SolverFailure,
+    det_split_recurring,
     det_split_verdicts,
     lasso_table,
     product_accepts,
@@ -664,9 +665,10 @@ def _canonical_reach(table: tuple, k: int, S: int) -> Optional[int]:
 
     Canonical means: states are numbered in first-visit order (scanning
     states, then letters, in index order from state 0), and rows of
-    never-visited states are all dead.  Every automaton language has
-    exactly one canonical representative, so enumeration may skip the
-    rest.
+    never-visited states are all dead.  Every table has exactly one
+    canonical form up to renaming of its reachable states, so enumeration
+    may skip the rest.  The form is not unique per language: different
+    canonical tables can accept the same words.
     """
     seen = 1
     i = 0
@@ -709,11 +711,19 @@ def search_lasso_precise(
     applies to.
 
     Deterministic candidates are enumerated up to renaming (initial state
-    fixed, states numbered in visit order); the nondeterministic mode
-    enumerates subset transition tables with initial sets {q0..qi} and is
-    only meant for very small k.  Raises ResourceLimit when the documented
-    pre-pruning count exceeds the ceiling.  The witness is not re-checked
-    here: callers run ``verify_certificate`` on it.
+    fixed, states numbered in visit order), tables in index order and each
+    table's colorings in itertools.product order.  A table is run once per
+    equality word for all its colorings: the run gives the set of states
+    that recur on each split (``core.det_split_recurring``), and a coloring
+    agrees iff it accepts the sets that must be accepted and none of the
+    ones that must be rejected: two bit tests against its precomputed
+    accepted sets.  A word that refutes a table moves to the front of the
+    word list; since every word must agree, the order changes no answer.
+    The nondeterministic mode enumerates subset transition tables with
+    initial sets {q0..qi} and is only meant for very small k.  Raises
+    ResourceLimit when the documented pre-pruning count exceeds the
+    ceiling.  The witness is not re-checked here: callers run
+    ``verify_certificate`` on it.
     """
     S = len(alphabet)
     space = search_space_size(S, k, m, target)
@@ -776,14 +786,6 @@ def _agrees(verdicts_of, equality) -> bool:
     return all(verdicts_of(word) == wants for word, wants in equality)
 
 
-def _decode_det_table(index: int, k: int, S: int) -> tuple:
-    digits = []
-    for _ in range(k * S):
-        index, d = divmod(index, k + 1)
-        digits.append(d)
-    return tuple(digits)
-
-
 def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
     """The automaton of a candidate's integer view, states named q0, q1, ..."""
     S = len(alphabet)
@@ -804,23 +806,73 @@ def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
 
 
 def _scan_deterministic(alphabet, k, m, equality, contained):
+    # Reversing product's tuples puts the tables in index order, cell 0
+    # varying fastest.  A table's run on a lasso does not depend on its
+    # colors, so the equality words are run once per table and only the
+    # colorings that agree on all of them reach ``contained``.
     S = len(alphabet)
-    for idx in range((k + 1) ** (k * S)):
-        table = _decode_det_table(idx, k, S)
+    equality = list(equality)
+    by_reach: dict[int, list] = {}
+    for digits in itertools.product(range(k + 1), repeat=k * S):
+        table = digits[::-1]
         reach = _canonical_reach(table, k, S)
         if reach is None:
             continue
-        moves = None
-        for mu_r in itertools.product(range(m), repeat=reach):
-            mu = mu_r + (0,) * (k - reach)
+        colorings = by_reach.get(reach)
+        if colorings is None:
+            colorings = by_reach[reach] = _accept_sets(reach, k, m)
+        live = _live_colorings(table, k, S, colorings, equality)
+        if not live:
+            continue
+        moves = [() if t == k else (t,) for t in table]
+        for mu, _ in live:
             verdicts_of = functools.partial(det_split_verdicts, table, mu, S, 0)
-            if not _agrees(verdicts_of, equality):
-                continue
-            if moves is None:
-                moves = [() if t == k else (t,) for t in table]
             if contained(verdicts_of, (0,), mu, moves):
                 return _build(alphabet, (0,), mu, moves)
     return None
+
+
+def _accept_sets(reach: int, k: int, m: int) -> list:
+    """Every coloring of states 0..reach-1 (the rest colored 0), in
+    itertools.product order, with the int whose bit ``states`` is set iff
+    a run that recurs exactly on the bit set ``states`` is accepted."""
+    out = []
+    for mu_r in itertools.product(range(m), repeat=reach):
+        accepts = 0
+        for states in range(1, 1 << reach):
+            top = max(c for s, c in enumerate(mu_r) if states >> s & 1)
+            if top % 2 == 0:
+                accepts |= 1 << states
+        out.append((mu_r + (0,) * (k - reach), accepts))
+    return out
+
+
+def _live_colorings(table, k: int, S: int, colorings: list, equality: list) -> list:
+    """The colorings of ``table`` that agree with the language on every
+    equality word.  ``need`` and ``forbid`` collect the recurring-state
+    sets that must be accepted and rejected (as bits, set 0 being a dead
+    run).  A word that refutes the table moves to the front of
+    ``equality``; it does not change what passes, since every word must
+    agree, but the next table is likely refuted by it too."""
+    need = forbid = 0
+    live = colorings
+    for pos, (word, wants) in enumerate(equality):
+        was = need, forbid
+        for states, want in zip(det_split_recurring(table, k, S, 0, word), wants):
+            if want:
+                need |= 1 << states
+            else:
+                forbid |= 1 << states
+        if (need, forbid) == was:
+            continue
+        if need & (forbid | 1):
+            live = []
+        else:
+            live = [c for c in live if c[1] & need == need and not c[1] & forbid]
+        if not live:
+            equality.insert(0, equality.pop(pos))
+            return live
+    return live
 
 
 def _scan_nondeterministic(alphabet, k, m, equality, contained):

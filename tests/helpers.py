@@ -11,6 +11,7 @@ violated release its refutation, and so on.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from typing import Optional
@@ -222,6 +223,65 @@ def same_automaton(a: ParityAutomaton, b: ParityAutomaton) -> bool:
         and a.transitions == b.transitions
         and a.coloring == b.coloring
     )
+
+
+def reference_synthesis(
+    f: LtlFormula, m: ApLetterMap, n: int, k: int, colors: int
+) -> Optional[ParityAutomaton]:
+    """Deterministic brute-force synthesis without the library's scan.
+
+    Tables are decoded from their index (cell 0 is the least significant
+    base-(k+1) digit, k a missing edge) and taken in index order; a table
+    counts only if breadth-first search from state 0 (letters in index
+    order) numbers its states 0, 1, ... and the rows it never reaches are
+    empty.  Colorings of the reached states follow itertools.product
+    order, the other states get color 0.  A candidate is returned when
+    ``naive_accepts`` matches ``naive_eval`` on every lasso of base n and
+    ``ltl.violation`` finds no word of the candidate outside the formula.
+    """
+    alphabet = m.alphabet
+    S = len(alphabet)
+    lassos = [
+        Lasso(word[:split], word[split:])
+        for word in itertools.product(alphabet.letters, repeat=n)
+        for split in range(n)
+    ]
+    wants = [naive_eval(f, w, m) for w in lassos]
+    names = [f"q{s}" for s in range(k)]
+    for index in range((k + 1) ** (k * S)):
+        table = []
+        for _ in range(k * S):
+            index, digit = divmod(index, k + 1)
+            table.append(digit)
+        order = [0]
+        todo = deque(order)
+        while todo:
+            s = todo.popleft()
+            for t in table[s * S : (s + 1) * S]:
+                if t < k and t not in order:
+                    order.append(t)
+                    todo.append(t)
+        reached = len(order)
+        if order != list(range(reached)) or any(t < k for t in table[reached * S :]):
+            continue
+        transitions = {
+            (names[s], alphabet[x]): frozenset({names[table[s * S + x]]})
+            for s in range(k)
+            for x in range(S)
+            if table[s * S + x] < k
+        }
+        for coloring in itertools.product(range(colors), repeat=reached):
+            a = ParityAutomaton(
+                alphabet=alphabet,
+                states=tuple(names),
+                initial=frozenset({names[0]}),
+                transitions=transitions,
+                coloring=dict(zip(names, coloring + (0,) * (k - reached))),
+            )
+            if all(naive_accepts(a, w) == want for w, want in zip(lassos, wants)):
+                if ltl.violation(a, f, m) is None:
+                    return a
+    return None
 
 
 def in_omega(w: Lasso, k: int) -> bool:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -271,6 +272,37 @@ class TestCompiledAcceptance:
                 ]
             assert got == expected
             assert splits == expected
+
+    def test_recurring_states_decide_every_coloring(self):
+        # det_split_recurring runs a table once for all its colorings: a
+        # split is accepted under a coloring iff its recurring-state set is
+        # non-empty with an even top color, as det_split_verdicts says
+        rng = random.Random(12)
+        died_along_word = died_in_later_round = 0
+        for _ in range(40):
+            k, S = rng.randint(1, 4), rng.randint(1, 4)
+            table = tuple(
+                k if rng.random() < 0.15 else rng.randrange(k) for _ in range(k * S)
+            )
+            colorings = list(product(range(3), repeat=k))
+            for length in range(1, 5):
+                for word in product(range(S), repeat=length):
+                    recurring = core.det_split_recurring(table, k, S, 0, word)
+                    assert len(recurring) == length
+                    assert all(states < 1 << k for states in recurring)
+                    if not any(recurring):
+                        died_along_word += 1
+                    elif not all(recurring):
+                        died_in_later_round += 1
+                    for colors in colorings:
+                        want = core.det_split_verdicts(table, colors, S, 0, word)
+                        got = [
+                            states != 0
+                            and max(c for s, c in enumerate(colors) if states >> s & 1) % 2 == 0
+                            for states in recurring
+                        ]
+                        assert got == want, (table, word, colors)
+        assert died_along_word > 100 and died_in_later_round > 100
 
     def test_nondeterministic_splits_use_product(self):
         rng = random.Random(5)

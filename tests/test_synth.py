@@ -1,3 +1,4 @@
+import itertools
 import random
 import stat
 
@@ -10,6 +11,7 @@ from lassokit.core import (
     ResourceLimit,
     SolverFailure,
     accepts_lasso,
+    reachable_states,
 )
 from lassokit.lassolab import check_lasso_precise, words_by_length
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
@@ -34,7 +36,7 @@ from lassokit.synth import (
     verify_certificate,
 )
 
-from helpers import rand_formula
+from helpers import rand_formula, reference_synthesis, same_automaton
 
 P1 = ApLetterMap.from_aps(["p"])
 P2 = ApLetterMap.from_aps(["p", "q"])
@@ -407,6 +409,57 @@ class TestBruteForce:
         bare = lambda w: phi(w)
         assert search_lasso_precise(q.ap_map.alphabet, bare, 1, 2, 1) is not None
         assert calls == [(1, 1), (1, 2)]
+
+    def test_matches_reference_enumerator(self):
+        # the scan runs each table once for all its colorings and reorders
+        # its equality words; helpers.reference_synthesis walks the same
+        # candidate order one candidate at a time, so the witnesses are equal
+        rng = random.Random(8)
+        queries = [
+            (parse_ltl(text, ["p"]), P1, n, k, m)
+            for text in ("G p", "F p", "G F p", "F G p", "p U X p", "p -> X p",
+                         "G F p & F G !p")
+            for n in (1, 2)
+            for k in (1, 2, 3)
+            for m in (1, 2)
+        ]
+        queries += [
+            (rand_formula(rng, ["p", "q"], 5), P2, n, k, m)
+            for n, k, m in ((1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
+        ]
+        # (formula, n, k, m) -> index of the witness's coloring of its
+        # reached states in itertools.product order, or None for UNSAT
+        special = {
+            ("G F p & G F q", 2, 2, 2): None,
+            # the first table that agrees on base 2 needs its 22nd coloring
+            ("G F p", 2, 3, 3): 21,
+            # coloring 1 of the witness table agrees on base 1 but accepts
+            # words outside F G p
+            ("F G p", 1, 3, 2): 2,
+            # two earlier tables agree on base 1 and leak
+            ("p U q", 1, 2, 2): 0,
+        }
+        for text, n, k, m in special:
+            ap_map = P2 if "q" in text else P1
+            queries.append((parse_ltl(text, list(ap_map.aps)), ap_map, n, k, m))
+        witnesses = []
+        for f, ap_map, n, k, m in queries:
+            got = brute_force_search(SynthesisQuery(f, ap_map, n, k, m))
+            want = reference_synthesis(f, ap_map, n, k, m)
+            if want is None:
+                assert got is None, (f, n, k, m)
+            else:
+                assert got is not None and same_automaton(got, want), (f, n, k, m)
+            witnesses.append(got)
+        for ((_, n, k, m), index), a in zip(special.items(), witnesses[-len(special):]):
+            if index is None:
+                assert a is None
+                continue
+            reached = sorted(reachable_states(a))
+            colorings = list(itertools.product(range(m), repeat=len(reached)))
+            assert colorings.index(tuple(a.coloring[q] for q in reached)) == index
+        unsat = sum(a is None for a in witnesses)
+        assert 10 < unsat < len(witnesses) - 10
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimit):
