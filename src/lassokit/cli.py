@@ -120,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inclusion-bound",
         type=int,
         default=None,
-        help="largest lasso base for the containment half; with --ltl it"
-        " replaces the exact product test by a scan bounded to this base",
+        help="largest lasso base for the containment half; with --ltl the"
+        " verdict is bounded to this base instead of exact",
     )
     ck.add_argument("--report", help="write the JSON report here")
     ck.set_defaults(handler=_cmd_check)
@@ -331,15 +331,32 @@ def _cmd_check(args) -> int:
                 )
         phi = ltl_oracle(formula, amap)
     else:
-        ref = _read_doc(args.ref).automaton
-        if ref.alphabet.letters != a.alphabet.letters:
-            raise InputError("reference and input alphabets differ")
-        phi = automaton_oracle(ref)
+        phi = automaton_oracle(_reference_onto(_read_doc(args.ref), doc))
     report = check_lasso_precise(a, phi, n, inclusion_bound=args.inclusion_bound)
     print(report.summary())
     if args.report:
         _write_text(args.report, report.to_json() + "\n")
     return 0 if report.ok else 1
+
+
+def _reference_onto(ref_doc: HoaDocument, doc: HoaDocument) -> ParityAutomaton:
+    """The reference automaton over the input's letters: as it is when the
+    letters agree, relabelled by AP subset when both documents map the
+    same APs in different orders."""
+    ref = ref_doc.automaton
+    if ref.alphabet.letters == doc.automaton.alphabet.letters:
+        return ref
+    ref_map, in_map = ref_doc.ap_map, doc.ap_map
+    if ref_map is None or in_map is None or set(ref_map.aps) != set(in_map.aps):
+        raise InputError("reference and input alphabets differ")
+    onto = {x: in_map.letter_of(ref_map.aps_of(x)) for x in ref.alphabet}
+    return ParityAutomaton(
+        doc.automaton.alphabet,
+        ref.states,
+        ref.initial,
+        {(q, onto[x]): targets for (q, x), targets in ref.transitions.items()},
+        ref.coloring,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,9 @@ def parse_hoa(text: str) -> HoaDocument:
     current: Optional[int] = None
     implicit_at = 0
     atoms = len(alphabet) if ap_map is None else len(ap_map.aps)
+    # letters of each label text, parsed at its first line: written files
+    # repeat a few labels on every edge
+    labels: dict[str, list[int]] = {}
     for no in range(body_at + 1, len(lines) + 1):
         line = lines[no - 1].strip()
         if not line:
@@ -408,9 +411,12 @@ def parse_hoa(text: str) -> HoaDocument:
             close = line.find("]")
             if close < 0:
                 raise ParseError(f"line {no}: unterminated label")
-            label = _LabelParser(line[1:close], no, atoms).parse()
+            spec = line[1:close]
+            letters = labels.get(spec)
+            if letters is None:
+                label = _LabelParser(spec, no, atoms).parse()
+                letters = labels[spec] = _label_letters(label, alphabet, ap_map, no)
             rest = line[close + 1 :].strip()
-            letters = _label_letters(label, alphabet, ap_map, no)
         else:
             if implicit_at >= len(alphabet):
                 raise ParseError(f"line {no}: more implicit edges than letters")

@@ -85,11 +85,15 @@ class PrecisionReport:
     """Outcome of a precision check.
 
     ``mismatches`` holds lassos of base length exactly n where automaton and
-    oracle disagree; ``inclusion_violations`` holds accepted lassos of base
-    length up to the inclusion bound that the oracle rejects, plus the
-    witness of the exact containment test when one ran and found a lasso
-    the scan did not list.  ``exact_inclusion`` tells the two scopes
-    apart: when it is False, containment is only known up to the bound.
+    oracle disagree.  ``inclusion_violations`` holds accepted lassos that
+    the oracle rejects: those of base length up to the inclusion bound,
+    which the scan lists only when the exact containment test found a
+    witness or no exact test applies, plus that witness itself when the
+    verdict is exact and the scan did not list it.  ``checked_inclusion``
+    counts the lassos of base up to the bound, other than n, whose
+    containment was decided, by the product or by the scan.
+    ``exact_inclusion`` tells the two scopes apart: when it is False,
+    containment is only known up to the bound.
     """
 
     n: int
@@ -172,16 +176,36 @@ def _require_affordable_scan(letters: int, bound: int) -> None:
             )
 
 
-def _scan(a, phi, n, bound) -> PrecisionReport:
+def _scan(a, phi, n, bound, contained=False) -> PrecisionReport:
     """Check the lassos of every word (letter indices) of length 1..bound,
     in (word, split) order; a Lasso is only built when the oracle is
-    consulted."""
+    consulted.
+
+    With ``contained`` (an exact test has shown that no accepted lasso
+    lies outside the language) only the words of length n are visited,
+    and the inclusion lassos count as decided.  When the oracle is an
+    automaton_oracle over the same letters, a base-n word whose verdicts
+    equal the reference automaton's on every split is passed over without
+    consulting the oracle."""
     letters = a.alphabet.letters
+    ref_auto = getattr(phi, "automaton", None)
+    if ref_auto is not None and ref_auto.alphabet.letters != letters:
+        ref_auto = None
     report = PrecisionReport(n, bound)
-    for word in words_by_length(range(len(letters)), 1, bound):
+    symbols = range(len(letters))
+    if contained:
+        words = words_by_length(symbols, n, n)
+        report.checked_inclusion = sum(
+            len(letters) ** b * b for b in range(1, bound + 1) if b != n
+        )
+    else:
+        words = words_by_length(symbols, 1, bound)
+    for word in words:
         verdicts = accepts_splits(a, word)
         if len(word) == n:
             report.checked_equal += n
+            if ref_auto is not None and verdicts == accepts_splits(ref_auto, word):
+                continue
             named = tuple(letters[x] for x in word)
             for split, got in enumerate(verdicts):
                 w = Lasso(named[:split], named[split:])
@@ -211,16 +235,24 @@ def check_lasso_precise(
     """Compare ``a`` against the oracle on all lassos of base length n
     (equality) and check that every accepted lasso satisfies the oracle.
 
-    The containment half is decided exactly, by one emptiness product, in
-    two cases: a deterministic reference automaton is known, passed
-    explicitly or carried by an automaton_oracle, and ``a`` is a safety
-    automaton; or the oracle is an ltl_oracle, which carries its formula
-    and letter map, and no inclusion bound is given.  Otherwise it is
-    tested exhaustively on all bases up to the inclusion bound, which
-    defaults to max(n, |a|); callers checking a
-    large automaton against a bare oracle should pass a bound that they
-    can afford.  A scan of more than ``SCAN_CEILING`` lassos raises
-    ResourceLimit before it starts.
+    An exact containment test, one emptiness product, runs first wherever
+    one applies: against a deterministic reference automaton of the
+    oracle's language, passed explicitly or carried by an
+    automaton_oracle, when ``a`` is a safety automaton; or against the
+    tableau of the negated formula when the oracle is an ltl_oracle,
+    which carries its formula and letter map.  When it finds no witness,
+    no lasso of any base is a violation and only the base-n lassos are
+    enumerated.  Otherwise, and where no exact test applies, every lasso
+    of base up to the inclusion bound is scanned for violations.
+
+    The bound defaults to n where an exact test applies and to max(n, |a|)
+    otherwise; callers checking a large automaton against a bare oracle
+    should pass a bound that they can afford.  The verdict counts as
+    exact (``exact_inclusion``) for a reference automaton, and for a
+    formula only without an inclusion bound: a bound asks for the bounded
+    verdict, so its report lists only the violations up to the bound.
+    A scan of more than ``SCAN_CEILING`` lassos raises ResourceLimit
+    before any work starts.
     """
     if n < 1:
         raise InputError("precision bound must be positive")
@@ -231,9 +263,9 @@ def check_lasso_precise(
         and is_deterministic(ref_auto)
         and ref_auto.alphabet.letters == a.alphabet.letters
     )
-    formula = getattr(phi, "formula", None)
-    by_formula = not by_reference and formula is not None and inclusion_bound is None
-    exact = by_reference or by_formula
+    formula = None if by_reference else getattr(phi, "formula", None)
+    tested = by_reference or formula is not None
+    exact = by_reference or (tested and inclusion_bound is None)
     if inclusion_bound is None:
         bound = n if exact else default_inclusion_bound(a, n)
     else:
@@ -242,13 +274,14 @@ def check_lasso_precise(
         raise InputError("inclusion bound must be at least the precision bound")
 
     _require_affordable_scan(len(a.alphabet), bound)
-    report = _scan(a, phi, n, bound)
+    witness = None
+    if by_reference:
+        witness = check_inclusion_exact(a, ref_auto)[1]
+    elif formula is not None:
+        witness = violation(a, formula, phi.ap_map)
+    report = _scan(a, phi, n, bound, contained=tested and witness is None)
     if exact:
         report.exact_inclusion = True
-        if by_reference:
-            witness = check_inclusion_exact(a, ref_auto)[1]
-        else:
-            witness = violation(a, formula, phi.ap_map)
         listed = {w.canonical() for w in report.inclusion_violations}
         if witness is not None and witness not in listed:
             report.inclusion_violations.append(witness)

@@ -23,6 +23,7 @@ from lassokit.core import (
     ParityAutomaton,
     reachable_states,
 )
+from lassokit.lassolab import PrecisionReport, enumerate_bases
 from lassokit.ltl import ApLetterMap, LtlFormula, atom
 from lassokit import ltl
 
@@ -282,6 +283,31 @@ def reference_synthesis(
                 if ltl.violation(a, f, m) is None:
                     return a
     return None
+
+
+def reference_precision(
+    a: ParityAutomaton, in_language: MembershipOracle, n: int, bound: int
+) -> PrecisionReport:
+    """The bounded precision check by brute force, without the library's
+    word scan or product: every lasso of base 1..bound from
+    ``enumerate_bases``, membership in L(a) by ``naive_accepts`` and in the
+    language by ``in_language`` (``naive_eval`` or ``naive_accepts`` of a
+    reference).  Base-n lassos are compared, the others must not be
+    accepted outside the language; both lists keep enumeration order."""
+    out = PrecisionReport(n, bound)
+    for length in range(1, bound + 1):
+        for w in enumerate_bases(a.alphabet, length):
+            got = naive_accepts(a, w)
+            if length == n:
+                out.checked_equal += 1
+                want = in_language(w)
+                if got != want:
+                    out.mismatches.append((w, want, got))
+            else:
+                out.checked_inclusion += 1
+                if got and not in_language(w):
+                    out.inclusion_violations.append(w)
+    return out
 
 
 def in_omega(w: Lasso, k: int) -> bool:

@@ -299,6 +299,50 @@ State: 0 "s"
         )
         assert code == 2
 
+    @staticmethod
+    def one_state(aps, label):
+        names = " ".join(f'"{p}"' for p in aps)
+        return (
+            f"HOA: v1\nStates: 1\nStart: 0\nAP: {len(aps)} {names}\n"
+            "acc-name: all\nAcceptance: 0 t\n--BODY--\n"
+            f'State: 0 "s"\n[{label}] 0\n--END--\n'
+        )
+
+    def test_reference_aps_in_another_order(self, run, tmp_path):
+        # The letters come out as {p,q} against {q,p}; the reference is
+        # relabelled by AP subset.
+        auto, ref = tmp_path / "in.hoa", tmp_path / "ref.hoa"
+        auto.write_text(self.one_state(["p", "q"], "t"))
+        ref.write_text(self.one_state(["q", "p"], "t"))
+        code, stdout, err = run("check", "--in", str(auto), "--ref", str(ref), "--bound", "2")
+        assert code == 0, err
+        assert "verdict: ok (containment exact)" in stdout
+        # G p written once with p as AP 0 and once with p as AP 1
+        auto.write_text(self.one_state(["p", "q"], "0"))
+        ref.write_text(self.one_state(["q", "p"], "1"))
+        code, stdout, err = run("check", "--in", str(auto), "--ref", str(ref), "--bound", "2")
+        assert code == 0 and "mismatches: 0" in stdout, err
+        # against G q the mismatches use the input's letter names
+        ref.write_text(self.one_state(["q", "p"], "0"))
+        report = tmp_path / "r.json"
+        code, stdout, err = run(
+            "check", "--in", str(auto), "--ref", str(ref), "--bound", "1",
+            "--report", str(report),
+        )
+        assert code == 1, err
+        payload = json.loads(report.read_text())
+        assert {(tuple(m["base"]), m["in_language"]) for m in payload["mismatches"]} == {
+            (("{p}",), False), (("{q}",), True),
+        }
+
+    def test_reference_over_other_aps_is_refused(self, run, tmp_path):
+        auto, ref = tmp_path / "in.hoa", tmp_path / "ref.hoa"
+        auto.write_text(self.one_state(["p", "q"], "t"))
+        ref.write_text(self.one_state(["r", "p"], "t"))
+        code, stdout, err = run("check", "--in", str(auto), "--ref", str(ref), "--bound", "1")
+        assert code == 2 and stdout == ""
+        assert "reference and input alphabets differ" in err
+
     def test_formula_uses_documents_aps(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)
         code, _, _ = run("check", "--in", str(auto), "--ltl", "G z", "--bound", "1")

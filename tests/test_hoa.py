@@ -4,6 +4,7 @@ import re
 import pytest
 
 from lassokit.core import Alphabet, ParityAutomaton, ParseError, accepts_lasso
+from lassokit import hoa
 from lassokit.hoa import parse_hoa, to_dot, write_hoa
 from lassokit.ltl import ApLetterMap
 
@@ -305,6 +306,52 @@ State: 0 "s"
 --END--
 """
         with pytest.raises(ParseError, match="line 10"):
+            parse_hoa(text)
+
+    def test_each_label_text_is_parsed_once(self, monkeypatch):
+        text = """HOA: v1
+States: 2
+Start: 0
+AP: 2 "p" "q"
+Acceptance: 1 Inf(0)
+--BODY--
+State: 0 "s" {0}
+[0 & !1] 1
+[!0] 0
+State: 1 "t"
+[0 & !1] 0
+[!0] 1
+[0&1] 1
+--END--
+"""
+        parsed = []
+        real = hoa._LabelParser.parse
+
+        def counted(self):
+            parsed.append(self.text)
+            return real(self)
+
+        monkeypatch.setattr(hoa._LabelParser, "parse", counted)
+        a = parse_hoa(text).automaton
+        assert parsed == ["0 & !1", "!0", "0&1"]
+        assert a.successors("s", "{p}") == frozenset({"t"})
+        assert a.successors("t", "{p}") == frozenset({"s"})
+        assert a.successors("t", "{}") == a.successors("t", "{q}") == frozenset({"t"})
+        assert a.successors("t", "{p,q}") == frozenset({"t"})
+        assert a.successors("s", "{p,q}") == frozenset()
+
+    def test_bad_label_names_the_line_where_it_first_appears(self):
+        body = ["State: 0 \"s\"", "[t] 0", "[0 & ] 0", "State: 1 \"t\"", "[0 & ] 1"]
+        for header, first in (('AP: 1 "p"', 9), ('Alphabet: 2 "a" "b"', 9)):
+            text = "\n".join(
+                ["HOA: v1", "States: 2", "Start: 0", header, "Acceptance: 0 t",
+                 "--BODY--", *body, "--END--", ""]
+            )
+            with pytest.raises(ParseError, match=rf"^line {first}: bad label \[0 & \]"):
+                parse_hoa(text)
+        # an Alphabet: label that parses but is not a letter union
+        text = _minimal(edge="[t] 0\n[0 & 0] 0\n[0 & 0] 0")
+        with pytest.raises(ParseError, match=r"^line 9: labels over an Alphabet"):
             parse_hoa(text)
 
 

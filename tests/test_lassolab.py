@@ -1,8 +1,10 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from lassokit.constructions import build_safety_lasso_precise
 from lassokit.core import (
     Alphabet,
     InputError,
@@ -11,6 +13,7 @@ from lassokit.core import (
     ResourceLimit,
     accepts_by_product,
     accepts_lasso,
+    complement,
     lasso,
 )
 from lassokit import lassolab
@@ -22,9 +25,16 @@ from lassokit.lassolab import (
     enumerate_bases,
     unroll,
 )
-from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
+from lassokit.ltl import ApLetterMap, ltl_oracle, neg, parse_ltl, violation
 
-from helpers import rand_automaton, rand_lasso
+from helpers import (
+    naive_accepts,
+    naive_eval,
+    rand_automaton,
+    rand_formula,
+    rand_lasso,
+    reference_precision,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -168,23 +178,8 @@ class TestCheckLassoPrecise:
         assert report.ok and report.exact_inclusion
 
     def test_same_as_reference_scan(self):
-        # A scan built from enumerate_bases and the generic product path
-        # fixes the counts and the order of every reported lasso.
-        def reference(a, phi, n, bound):
-            out = PrecisionReport(n, bound)
-            for length in range(1, bound + 1):
-                for w in enumerate_bases(a.alphabet, length):
-                    got = accepts_by_product(a, w)
-                    if length == n:
-                        out.checked_equal += 1
-                        if got != phi(w):
-                            out.mismatches.append((w, not got, got))
-                    else:
-                        out.checked_inclusion += 1
-                        if got and not phi(w):
-                            out.inclusion_violations.append(w)
-            return out
-
+        # The brute-force scan of helpers fixes the counts and the order
+        # of every reported lasso against a bare oracle.
         rng = random.Random(31)
         reported = [0, 0]
         for i in range(24):
@@ -195,7 +190,7 @@ class TestCheckLassoPrecise:
             def phi(w, b=b):
                 return accepts_by_product(b, w)
 
-            want = reference(a, phi, 2, 4)
+            want = reference_precision(a, phi, 2, 4)
             got = check_lasso_precise(a, phi, 2, inclusion_bound=4)
             assert got.to_dict() == want.to_dict()
             assert got.mismatches == want.mismatches
@@ -241,3 +236,122 @@ class TestCheckLassoPrecise:
         )
         oracle = ltl_oracle(parse_ltl("G p", ["p"]), pmap)
         assert check_lasso_precise(always_p, oracle, 2, inclusion_bound=4).ok
+
+
+class TestExactTestFirst:
+    """The exact containment test runs before the scan, and the scan then
+    visits only what the test leaves open; reports must not change."""
+
+    @staticmethod
+    def same_report(got, want):
+        assert got.to_dict() == want.to_dict()
+        assert got.summary() == want.summary()
+
+    def test_formula_oracle_matches_brute_force(self):
+        # 1-AP queries up to base 5, 2-AP queries up to base 3; inputs are
+        # precise under- and over-approximations and random automata.
+        rng = random.Random(2103)
+        seen = Counter()
+        for i in range(48):
+            aps = ["p"] if i % 2 else ["p", "q"]
+            m = ApLetterMap.from_aps(aps)
+            bound = rng.randint(2, 5) if len(aps) == 1 else rng.randint(1, 3)
+            n = rng.randint(1, bound)
+            f = rand_formula(rng, aps, rng.randint(2, 6))
+            kind = i // 2 % 4
+            if kind == 0:
+                a = build_safety_lasso_precise(ltl_oracle(f, m), m.alphabet, n)
+            elif kind == 1:
+                a = complement(
+                    build_safety_lasso_precise(ltl_oracle(neg(f), m), m.alphabet, n)
+                )
+            else:
+                a = rand_automaton(rng, m.alphabet, max_states=3, max_color=3,
+                                   deterministic=kind == 2, density=0.9)
+            got = check_lasso_precise(a, ltl_oracle(f, m), n, inclusion_bound=bound)
+            want = reference_precision(a, lambda w: naive_eval(f, w, m), n, bound)
+            self.same_report(got, want)
+            assert not got.exact_inclusion
+            if want.mismatches:
+                seen["mismatch"] += 1
+            if want.inclusion_violations:
+                seen["violation within the bound"] += 1
+            elif violation(a, f, m) is not None:
+                seen["violation only beyond the bound"] += 1
+                assert got.ok == got.agree
+            else:
+                seen["contained"] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 3, seen
+
+    def test_reference_oracle_matches_brute_force(self):
+        # Deterministic and nondeterministic references; a safety input
+        # against a deterministic reference gets the exact verdict, whose
+        # witness may follow the scanned violations.
+        rng = random.Random(2104)
+        seen = Counter()
+        for i in range(48):
+            sigma = AB if i % 3 else Alphabet(("a", "b", "c"))
+            bound = rng.randint(2, 5) if len(sigma) == 2 else rng.randint(1, 3)
+            n = rng.randint(1, bound)
+            ref = rand_automaton(rng, sigma, max_states=3, max_color=3,
+                                 deterministic=i % 2 == 0)
+            if i % 4 == 0:
+                a = build_safety_lasso_precise(automaton_oracle(ref), sigma, n)
+            else:
+                a = rand_automaton(rng, sigma, max_states=3,
+                                   max_color=rng.choice((0, 3)),
+                                   deterministic=rng.random() < 0.5, density=0.9)
+            got = check_lasso_precise(a, automaton_oracle(ref), n, inclusion_bound=bound)
+            want = reference_precision(a, lambda w: naive_accepts(ref, w), n, bound)
+            if got.exact_inclusion:
+                seen["exact"] += 1
+                extra = got.inclusion_violations[len(want.inclusion_violations):]
+                assert len(extra) <= 1
+                for w in extra:
+                    assert naive_accepts(a, w) and not naive_accepts(ref, w)
+                want.exact_inclusion = True
+                want.inclusion_violations += extra
+            self.same_report(got, want)
+            if want.mismatches:
+                seen["mismatch"] += 1
+            if got.inclusion_violations:
+                seen["violation"] += 1
+            elif got.exact_inclusion:
+                seen["exactly contained"] += 1
+            if i % 2:
+                seen["nondeterministic reference"] += 1
+        assert len(seen) == 5 and min(seen.values()) >= 3, seen
+
+    def test_contained_check_visits_only_base_n(self, monkeypatch):
+        m = ApLetterMap.from_aps(["p"])
+        f = parse_ltl("G F p", ["p"])
+        n, bound = 3, 5
+        a = build_safety_lasso_precise(ltl_oracle(f, m), m.alphabet, n)
+        lengths = []
+        real = lassolab.accepts_splits
+
+        def counted_splits(b, word):
+            lengths.append(len(word))
+            return real(b, word)
+
+        monkeypatch.setattr(lassolab, "accepts_splits", counted_splits)
+
+        def counted(oracle):
+            def wrapped(w):
+                asked.append(w)
+                return oracle(w)
+
+            wrapped.__dict__.update(oracle.__dict__)
+            return wrapped
+
+        asked = []
+        report = check_lasso_precise(a, counted(ltl_oracle(f, m)), n, inclusion_bound=bound)
+        assert report.ok and not report.exact_inclusion
+        assert lengths == [n] * 2**n and len(asked) == 2**n * n
+        assert report.checked_inclusion == sum(2**b * b for b in (1, 2, 4, 5))
+
+        lengths.clear()
+        asked.clear()
+        report = check_lasso_precise(a, counted(automaton_oracle(a)), n, inclusion_bound=bound)
+        assert report.ok and report.exact_inclusion
+        assert lengths == [n] * 2 ** (n + 1) and asked == []
