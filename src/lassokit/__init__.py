@@ -31,8 +31,6 @@ from .core import (
     is_empty,
     is_safety,
     lasso,
-    lasso_table,
-    product_accepts,
     product_lasso,
     reachable_states,
 )

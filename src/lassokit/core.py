@@ -264,6 +264,9 @@ class CompiledAutomaton:
     initial: Optional[int]
     moves: Optional[tuple[tuple[int, ...], ...]] = None
     starts: tuple[int, ...] = ()
+    # 1 << color per state, for verdict runs; a field, as a cached_property
+    # would give the view a __dict__ and slow every attribute read
+    color_weights: tuple[int, ...] = ()
 
     def successor_sets(self) -> tuple[tuple[int, ...], Sequence[tuple[int, ...]]]:
         """Initial states and ``moves`` layout for either kind of view."""
@@ -291,7 +294,10 @@ def _compile(a: ParityAutomaton) -> CompiledAutomaton:
         (t,) = targets
         table[state_index[q] * S + letter_index[x]] = state_index[t]
     (q0,) = a.initial
-    return CompiledAutomaton(letter_index, colors, tuple(table), state_index[q0])
+    return CompiledAutomaton(
+        letter_index, colors, tuple(table), state_index[q0],
+        color_weights=tuple(1 << c for c in colors),
+    )
 
 
 @dataclass(frozen=True)
@@ -311,20 +317,6 @@ class BuchiTable:
     moves: tuple[tuple[int, ...], ...]
     marks: tuple[int, ...]
     sets: int
-
-
-def lasso_table(letters: Sequence[str], base: Sequence[int], wrap: int) -> BuchiTable:
-    """The lasso with stem ``base[:wrap]`` and loop ``base[wrap:]`` (letter
-    indices into ``letters``) as a BuchiTable: state i reads ``base[i]``
-    and moves on, the last state back to ``wrap``.  With no acceptance
-    sets its one infinite run accepts, so the product with it accepts iff
-    the other side accepts the lasso."""
-    S = len(letters)
-    n = len(base)
-    moves = [()] * (n * S)
-    for i, x in enumerate(base):
-        moves[i * S + x] = (i + 1 if i + 1 < n else wrap,)
-    return BuchiTable(tuple(letters), (0,), tuple(moves), (0,) * n, 0)
 
 
 def _every_word(letters: Sequence[str]) -> BuchiTable:
@@ -454,8 +446,8 @@ def accepts_lasso(a: ParityAutomaton, w: Lasso) -> bool:
     """Decide membership of the induced infinite word in L(a).
 
     Deterministic automata are simulated on their compiled table
-    (``det_accepts``); nondeterministic ones go through the product graph
-    (``accepts_by_product``).
+    (``_det_recurring`` with color weights); nondeterministic ones go
+    through the product graph (``accepts_by_product``).
     """
     view = a.compiled
     if view.table is None:
@@ -468,135 +460,108 @@ def accepts_lasso(a: ParityAutomaton, w: Lasso) -> bool:
         raise InputError(
             f"lasso letter {exc.args[0]!r} not in automaton alphabet"
         ) from None
-    return det_accepts(view.table, view.colors, len(index), view.initial, stem, loop)
+    table, weight, S, q = view.table, view.color_weights, len(index), view.initial
+    for x in stem:
+        q = table[q * S + x]
+        if q == len(weight):
+            return False
+    return even_top(_det_recurring(table, weight, S, q, loop, {}, []))
 
 
 def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
     """Verdicts of ``a`` on every lasso with base ``word`` (letter indices):
     entry i is the verdict for stem ``word[:i]`` and loop ``word[i:]``."""
     view = a.compiled
-    if view.table is not None:
-        return det_split_verdicts(
-            view.table, view.colors, len(view.letter_index), view.initial, word
-        )
-    # a loop, not a comprehension: a comprehension would turn ``view`` and
-    # ``word`` into closure cells and slow the deterministic path above
-    starts, moves = view.successor_sets()
-    verdicts = []
-    for i in range(len(word)):
-        table = lasso_table(a.alphabet.letters, word, i)
-        verdicts.append(product_accepts(starts, view.colors, moves, table))
-    return verdicts
+    if view.table is None:
+        starts, moves = view.successor_sets()
+        tables = lasso_tables(a.alphabet.letters, word, range(len(word)))
+        return nondet_split_verdicts(starts, view.colors, moves, tables)
+    recurring = det_split_recurring(
+        view.table, view.color_weights, len(view.letter_index), view.initial, word
+    )
+    if recurring is None:
+        return [False] * len(word)
+    # even_top of every split, inlined: a call per split costs a live
+    # word about 5% more
+    return [r.bit_length() % 2 == 1 for r in recurring]
 
 
 # Deterministic acceptance on a flat successor table (see CompiledAutomaton):
 # the successor of state q on letter x is table[q * S + x], and
-# len(colors) is the dead cell.  The brute-force synthesis scan asks the
-# coloring-free question instead (``det_split_recurring``): which states
-# recur, so that one run serves every coloring of a candidate table.
+# len(weight) is the dead cell.  One run ORs a positive per-state
+# ``weight`` over the states that recur: color weights 1 << c give the
+# verdict (``even_top``), and the brute-force synthesis scan passes state
+# bits 1 << q instead, so that one run serves every coloring of a table.
 
-def det_accepts(table, colors, S: int, q: int, stem, loop) -> bool:
-    """Run the table from state q on the lasso ``stem . loop^w``."""
-    dead = len(colors)
-    for x in stem:
-        q = table[q * S + x]
-        if q == dead:
-            return False
-    return _det_rounds(table, colors, S, q, loop, {}, [])
+def even_top(recurring: int) -> bool:
+    """Whether an OR of color weights 1 << c is non-empty with an even
+    top color: the verdict of a run whose recurring colors it holds."""
+    return recurring.bit_length() % 2 == 1
 
 
-def _det_rounds(table, colors, S: int, q: int, loop, entry: dict, tops: list) -> bool:
+def _det_recurring(table, weight, S: int, q: int, loop, entry: dict, rounds: list) -> int:
     """Simulate the loop one round at a time from entry state q until an
     entry state repeats; ``entry`` maps the entry states of the rounds in
-    ``tops`` (their max colors) to their round number.  The max color over
-    the recurring rounds decides, and a dead cell rejects."""
-    dead = len(colors)
-    while q not in entry:
-        entry[q] = len(tops)
-        top = -1
-        for x in loop:
-            c = colors[q]
-            if c > top:
-                top = c
-            q = table[q * S + x]
-            if q == dead:
-                return False
-        tops.append(top)
-    return max(tops[entry[q]:]) % 2 == 0
-
-
-def _det_recurring(table, dead: int, S: int, q: int, loop, entry: dict, rounds: list) -> int:
-    """``_det_rounds`` without colors: the bit set of the states visited in
-    the recurring rounds (``rounds`` holds the bit set of each round
-    simulated so far), or 0 if the run dies."""
+    ``rounds`` (the OR of the weights of each round's states) to their
+    round number.  Returns the OR over the recurring rounds, or 0 if the
+    run dies."""
+    dead = len(weight)
     while q not in entry:
         entry[q] = len(rounds)
-        states = 0
+        seen = 0
         for x in loop:
-            states |= 1 << q
+            seen |= weight[q]
             q = table[q * S + x]
             if q == dead:
                 return 0
-        rounds.append(states)
-    states = 0
-    for seen in rounds[entry[q]:]:
-        states |= seen
-    return states
+        rounds.append(seen)
+    seen = 0
+    for got in rounds[entry[q]:]:
+        seen |= got
+    return seen
 
 
-def det_split_recurring(table, dead: int, S: int, q: int, word) -> list[int]:
-    """For every split of ``word``, the bit set of the states that the run
-    from q visits infinitely often on the lasso (0 if it dies): the lasso
-    is accepted under ``colors`` iff the set is non-empty and its highest
-    color is even.  Shares the run along the word between splits the way
-    ``det_split_verdicts`` does."""
+def det_split_recurring(table, weight, S: int, q: int, word) -> Optional[list[int]]:
+    """``_det_recurring`` for every split of ``word`` at once: entry i is
+    the OR of ``weight`` over the states that the run from q visits
+    infinitely often on the lasso with stem ``word[:i]``, or 0 if it dies
+    in a later round.  None if it dies along the word, where every split
+    dies: the scans meet many such words and answer them without a pass
+    over the splits.  The run along the word is computed once: it is the
+    stem plus the first loop round of every split, so each split only
+    simulates its later rounds."""
+    dead = len(weight)
     run = [q]
     for x in word:
         q = table[q * S + x]
         if q == dead:
-            return [0] * len(word)
+            return None
         run.append(q)
     recurring = [0] * len(word)
-    states = 0
+    seen = 0
     for i in range(len(word) - 1, -1, -1):
         start = run[i]
-        states |= 1 << start
+        seen |= weight[start]
         if q == start:
-            recurring[i] = states
+            recurring[i] = seen
         else:
-            recurring[i] = _det_recurring(table, dead, S, q, word[i:], {start: 0}, [states])
+            recurring[i] = _det_recurring(table, weight, S, q, word[i:], {start: 0}, [seen])
     return recurring
 
 
-def det_split_verdicts(table, colors, S: int, q: int, word) -> list[bool]:
-    """``det_accepts`` for every split of ``word`` at once.  The run along
-    the word is computed once: it is the stem plus the first loop round of
-    every split, so each split only simulates its later rounds."""
-    dead = len(colors)
-    run = [q]
-    for x in word:
-        q = table[q * S + x]
-        if q == dead:
-            return [False] * len(word)
-        run.append(q)
-    verdicts = [False] * len(word)
-    top = -1
-    for i in range(len(word) - 1, -1, -1):
-        start = run[i]
-        c = colors[start]
-        if c > top:
-            top = c
-        if q == start:
-            verdicts[i] = top % 2 == 0
-        else:
-            verdicts[i] = _det_rounds(table, colors, S, q, word[i:], {start: 0}, [top])
-    return verdicts
+def nondet_split_verdicts(starts, colors, moves, tables) -> list[bool]:
+    """Verdicts of a parity automaton on integers (``product_lasso``'s
+    layout) on the lassos ``tables`` (``lasso_tables`` over its letters):
+    whether the product with each finds a witness, without building it."""
+    return [
+        _product_sweep(starts, colors, moves, range(len(b.letters)), b)[1] is not None
+        for b in tables
+    ]
 
 
 def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
     """Generic acceptance: the product of ``a`` with the lasso's word
-    (``lasso_table``) accepts iff some run of ``a`` on the word is
-    accepting."""
+    accepts iff some run of ``a`` on the word is accepting."""
     view = a.compiled
     try:
         base = [view.letter_index[x] for x in w.base]
@@ -605,22 +570,26 @@ def accepts_by_product(a: ParityAutomaton, w: Lasso) -> bool:
             f"lasso letter {exc.args[0]!r} not in automaton alphabet"
         ) from None
     starts, moves = view.successor_sets()
-    word = lasso_table(a.alphabet.letters, base, len(w.stem))
-    return product_accepts(starts, view.colors, moves, word)
+    tables = lasso_tables(a.alphabet.letters, base, (len(w.stem),))
+    return nondet_split_verdicts(starts, view.colors, moves, tables)[0]
 
 
-def product_accepts(
-    starts: Sequence[int],
-    colors: Sequence[int],
-    moves: Sequence[tuple[int, ...]],
-    b: BuchiTable,
-) -> bool:
-    """Whether ``product_lasso`` finds a witness, without building it, for
-    a parity side laid out over the letters of ``b`` (its letter x is
-    ``b.letters[x]``)."""
-    S = len(b.letters)
-    _pairs, hit, _graph = _product_sweep(starts, colors, moves, range(S), b)
-    return hit is not None
+def lasso_tables(letters: Sequence[str], base: Sequence[int], wraps) -> list[BuchiTable]:
+    """The lasso with stem ``base[:wrap]`` and loop ``base[wrap:]``
+    (letter indices into ``letters``) as a BuchiTable, for each wrap in
+    ``wraps``: state i reads ``base[i]`` and moves on, the last state back
+    to the wrap.  With no acceptance sets its one infinite run accepts, so
+    the product with it accepts iff the other side accepts the lasso."""
+    S = len(letters)
+    n = len(base)
+    steps = [()] * (n * S)
+    for i in range(n - 1):
+        steps[i * S + base[i]] = (i + 1,)
+    tables = []
+    for wrap in wraps:
+        steps[(n - 1) * S + base[-1]] = (wrap,)
+        tables.append(BuchiTable(tuple(letters), (0,), tuple(steps), (0,) * n, 0))
+    return tables
 
 
 def product_lasso(

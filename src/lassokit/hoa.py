@@ -244,34 +244,22 @@ def _strip_comments(text: str) -> str:
     return out
 
 
+# a quoted string, an unterminated one (a lone quote) or a bare word
+_FIELD = re.compile(r'"((?:[^"\\]|\\.)*)"|(")|(\S+)')
+_ESCAPE = re.compile(r"\\(.)")
+
+
 def _split_quoted(rest: str, line: int) -> list[str]:
-    """Fields of a header payload: quoted strings and bare words."""
+    """Fields of a header payload: quoted strings, in which a backslash
+    escapes the next character, and bare words."""
     out = []
-    i = 0
-    while i < len(rest):
-        c = rest[i]
-        if c.isspace():
-            i += 1
-        elif c == '"':
-            j = i + 1
-            buf = []
-            while j < len(rest) and rest[j] != '"':
-                if rest[j] == "\\" and j + 1 < len(rest):
-                    buf.append(rest[j + 1])
-                    j += 2
-                else:
-                    buf.append(rest[j])
-                    j += 1
-            if j >= len(rest):
-                raise ParseError(f"line {line}: unterminated string")
-            out.append("".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(rest) and not rest[j].isspace():
-                j += 1
-            out.append(rest[i:j])
-            i = j
+    for quoted, lone, bare in _FIELD.findall(rest):
+        if lone:
+            raise ParseError(f"line {line}: unterminated string")
+        # most names hold no backslash: the sub runs only for those that do
+        if "\\" in quoted:
+            quoted = _ESCAPE.sub(r"\1", quoted)
+        out.append(bare or quoted)
     return out
 
 

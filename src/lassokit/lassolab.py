@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -27,10 +28,10 @@ from .core import (
 from .ltl import violation
 
 SCAN_CEILING = 1_000_000
-"""Most lassos one precision check may scan: the sum over bases b up to the
-inclusion bound of |Σ|^b·b.  Scans grow by a factor |Σ| per base, and one
-of this size takes about a second; a larger one raises ResourceLimit
-before it starts."""
+"""Most lassos one precision check may scan: |Σ|^n·n when an exact test
+shows containment, else the sum over bases b up to the inclusion bound of
+|Σ|^b·b.  Scans grow by a factor |Σ| per base, and one of this size takes
+about a second; a larger one raises ResourceLimit before it starts."""
 
 
 def unroll(w: Lasso, n2: int) -> Lasso:
@@ -162,18 +163,30 @@ def default_inclusion_bound(a: ParityAutomaton, n: int) -> int:
     return max(n, a.size)
 
 
-def _require_affordable_scan(letters: int, bound: int) -> None:
-    """ResourceLimit, naming the largest bound that fits, when the lassos
-    of all bases up to ``bound`` are more than ``SCAN_CEILING``."""
+def _require_affordable_scan(letters: int, n: int, bound: int, contained: bool) -> None:
+    """ResourceLimit when ``_scan`` would visit more than ``SCAN_CEILING``
+    lassos, those of base n alone when ``contained`` and else those of
+    every base up to ``bound``, naming the largest bound that fits.  With
+    ``contained`` also when the report's count of the lassos up to
+    ``bound``, below 2·bound·max(|Σ|, 2)^bound, could have more than the
+    4,300 digits that CPython prints by default; this keeps the loop that
+    sums them short too."""
+    last = n if contained else bound
     total = 0
-    for b in range(1, bound + 1):
-        total += letters**b * b
+    for b in range(1, last + 1):
+        lassos = letters**b * b
+        total = lassos if contained else total + lassos
         if total > SCAN_CEILING:
             raise ResourceLimit(
-                f"a scan up to base {bound} over {letters} letters checks more"
-                f" than {SCAN_CEILING} lassos; the largest bound that fits is"
-                f" {b - 1}"
+                f"a scan {'of' if contained else 'up to'} base {last} over"
+                f" {letters} letters checks more than {SCAN_CEILING} lassos;"
+                f" the largest bound that fits is {b - 1}"
             )
+    digits = bound * math.log10(max(letters, 2)) + math.log10(2 * bound)
+    if contained and digits >= 4300:
+        raise ResourceLimit(
+            f"the lassos up to base {bound} over {letters} letters are too many to count"
+        )
 
 
 def _scan(a, phi, n, bound, contained=False) -> PrecisionReport:
@@ -252,7 +265,7 @@ def check_lasso_precise(
     formula only without an inclusion bound: a bound asks for the bounded
     verdict, so its report lists only the violations up to the bound.
     A scan of more than ``SCAN_CEILING`` lassos raises ResourceLimit
-    before any work starts.
+    after the exact test and before it starts (``_require_affordable_scan``).
     """
     if n < 1:
         raise InputError("precision bound must be positive")
@@ -273,13 +286,14 @@ def check_lasso_precise(
     if bound < n:
         raise InputError("inclusion bound must be at least the precision bound")
 
-    _require_affordable_scan(len(a.alphabet), bound)
     witness = None
     if by_reference:
         witness = check_inclusion_exact(a, ref_auto)[1]
     elif formula is not None:
         witness = violation(a, formula, phi.ap_map)
-    report = _scan(a, phi, n, bound, contained=tested and witness is None)
+    contained = tested and witness is None
+    _require_affordable_scan(len(a.alphabet), n, bound, contained)
+    report = _scan(a, phi, n, bound, contained)
     if exact:
         report.exact_inclusion = True
         listed = {w.canonical() for w in report.inclusion_violations}

@@ -39,9 +39,8 @@ from .core import (
     ResourceLimit,
     SolverFailure,
     det_split_recurring,
-    det_split_verdicts,
-    lasso_table,
-    product_accepts,
+    lasso_tables,
+    nondet_split_verdicts,
     product_lasso,
 )
 from .lassolab import PrecisionReport, check_lasso_precise, words_by_length
@@ -808,10 +807,12 @@ def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
 def _scan_deterministic(alphabet, k, m, equality, contained):
     # Reversing product's tuples puts the tables in index order, cell 0
     # varying fastest.  A table's run on a lasso does not depend on its
-    # colors, so the equality words are run once per table and only the
-    # colorings that agree on all of them reach ``contained``.
+    # colors, so the equality words are run once per table (state bits as
+    # weights) and only the colorings that agree on all of them reach
+    # ``contained``.
     S = len(alphabet)
     equality = list(equality)
+    bits = [1 << q for q in range(k)]
     by_reach: dict[int, list] = {}
     for digits in itertools.product(range(k + 1), repeat=k * S):
         table = digits[::-1]
@@ -821,12 +822,16 @@ def _scan_deterministic(alphabet, k, m, equality, contained):
         colorings = by_reach.get(reach)
         if colorings is None:
             colorings = by_reach[reach] = _accept_sets(reach, k, m)
-        live = _live_colorings(table, k, S, colorings, equality)
+        live = _live_colorings(table, bits, S, colorings, equality)
         if not live:
             continue
         moves = [() if t == k else (t,) for t in table]
-        for mu, _ in live:
-            verdicts_of = functools.partial(det_split_verdicts, table, mu, S, 0)
+        for mu, accepts in live:
+
+            def verdicts_of(word):
+                recurring = det_split_recurring(table, bits, S, 0, word) or [0] * len(word)
+                return [accepts >> states & 1 for states in recurring]
+
             if contained(verdicts_of, (0,), mu, moves):
                 return _build(alphabet, (0,), mu, moves)
     return None
@@ -847,18 +852,21 @@ def _accept_sets(reach: int, k: int, m: int) -> list:
     return out
 
 
-def _live_colorings(table, k: int, S: int, colorings: list, equality: list) -> list:
+def _live_colorings(table, bits, S: int, colorings: list, equality: list) -> list:
     """The colorings of ``table`` that agree with the language on every
     equality word.  ``need`` and ``forbid`` collect the recurring-state
-    sets that must be accepted and rejected (as bits, set 0 being a dead
-    run).  A word that refutes the table moves to the front of
+    sets (``det_split_recurring`` with the state bits ``bits`` as
+    weights) that must be accepted and rejected (as bits, set 0 being a
+    dead run).  A word that refutes the table moves to the front of
     ``equality``; it does not change what passes, since every word must
     agree, but the next table is likely refuted by it too."""
     need = forbid = 0
     live = colorings
     for pos, (word, wants) in enumerate(equality):
         was = need, forbid
-        for states, want in zip(det_split_recurring(table, k, S, 0, word), wants):
+        recurring = det_split_recurring(table, bits, S, 0, word)
+        # a run that dies along the word recurs on set 0 at every split
+        for states, want in zip(recurring or itertools.repeat(0), wants):
             if want:
                 need |= 1 << states
             else:
@@ -878,14 +886,10 @@ def _live_colorings(table, k: int, S: int, colorings: list, equality: list) -> l
 def _scan_nondeterministic(alphabet, k, m, equality, contained):
     # experimental mode: no symmetry pruning beyond the initial-set shape.
     # Candidates stay integer views (starts, colors, moves) and meet each
-    # lasso through the product with its word table, built once per scan;
-    # only the witness becomes a ParityAutomaton.
+    # lasso through ``core.nondet_split_verdicts`` with its word tables,
+    # built once per scan; only the witness becomes a ParityAutomaton.
     letters = alphabet.letters
-
-    @functools.cache
-    def tables_of(word) -> list:
-        return [lasso_table(letters, word, split) for split in range(len(word))]
-
+    tables_of = functools.cache(lambda word: lasso_tables(letters, word, range(len(word))))
     subsets = [tuple(t for t in range(k) if bits >> t & 1) for bits in range(1 << k)]
     for i0 in range(1, k + 1):
         starts = tuple(range(i0))
@@ -893,10 +897,7 @@ def _scan_nondeterministic(alphabet, k, m, equality, contained):
             for colors in itertools.product(range(m), repeat=k):
 
                 def verdicts_of(word):
-                    return [
-                        product_accepts(starts, colors, table, b)
-                        for b in tables_of(word)
-                    ]
+                    return nondet_split_verdicts(starts, colors, table, tables_of(word))
 
                 if _agrees(verdicts_of, equality) and contained(
                     verdicts_of, starts, colors, table

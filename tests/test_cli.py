@@ -483,6 +483,52 @@ State: 0 "s"
             assert code == 4 and stdout == "", err
             assert "largest bound that fits is 8" in err
 
+    def test_ceiling_counts_only_the_lassos_scanned(self, run, tmp_path):
+        # Bases up to 19 over two letters are past the scan ceiling, but a
+        # product that proves containment leaves only the base-3 lassos to
+        # scan; a leaky input at the same bound needs the whole scan.
+        gfp, leaky = tmp_path / "gfp.hoa", tmp_path / "leaky.hoa"
+        run("approximate", "--ltl", "G F p", "--bound", "3", "--out", str(gfp))
+        code, stdout, err = run(
+            "check", "--in", str(gfp), "--ltl", "G F p", "--bound", "3",
+            "--inclusion-bound", "19",
+        )
+        assert code == 0, err
+        closed_form = sum(2**b * b for b in range(1, 20) if b != 3)
+        assert f"inclusion lassos checked: {closed_form}," in stdout
+        leaky.write_text(
+            'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "p"\nAcceptance: 0 t\n'
+            '--BODY--\nState: 0 "s"\n[t] 0\n--END--\n'
+        )
+        code, stdout, err = run(
+            "check", "--in", str(leaky), "--ltl", "G F p", "--bound", "3",
+            "--inclusion-bound", "19",
+        )
+        assert code == 4 and stdout == "", err
+        assert "largest bound that fits is 15" in err
+
+    def test_contained_count_past_printing_exits_4(self, run, tmp_path):
+        # A product that proves containment scans only base 3, but the
+        # report still counts every lasso up to the bound.  Up to base
+        # 14,269 over two letters that count has 4,300 digits, the most
+        # Python prints; a larger bound is refused before it is summed.
+        gfp, report = tmp_path / "gfp.hoa", tmp_path / "r.json"
+        run("approximate", "--ltl", "G F p", "--bound", "3", "--out", str(gfp))
+        args = ("check", "--in", str(gfp), "--ltl", "G F p", "--bound", "3")
+        code, stdout, err = run(
+            *args, "--inclusion-bound", "14269", "--report", str(report)
+        )
+        assert code == 0, err
+        count = json.loads(report.read_text())["checked_inclusion"]
+        assert len(str(count)) == 4300
+        assert f"inclusion lassos checked: {count}," in stdout
+        for bound in ("14270", "20000", "10000000"):
+            t0 = time.monotonic()
+            code, stdout, err = run(*args, "--inclusion-bound", bound)
+            assert time.monotonic() - t0 < 1.0
+            assert code == 4 and stdout == "", err
+            assert "too many to count" in err
+
     def test_jobs_option_is_gone(self, run, tmp_path):
         auto = self.make_gp(run, tmp_path)
         code, _, _ = run(

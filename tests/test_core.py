@@ -274,9 +274,12 @@ class TestCompiledAcceptance:
             assert splits == expected
 
     def test_recurring_states_decide_every_coloring(self):
-        # det_split_recurring runs a table once for all its colorings: a
-        # split is accepted under a coloring iff its recurring-state set is
-        # non-empty with an even top color, as det_split_verdicts says
+        # det_split_recurring runs a table once for all its colorings.  With
+        # state bits as weights it gives the states that recur on each
+        # split; naive_accepts finds the same set, since a state recurs iff
+        # the run accepts when that state alone has the top, even color.
+        # With color weights the run decides every coloring as max-even
+        # acceptance over that set does.
         rng = random.Random(12)
         died_along_word = died_in_later_round = 0
         for _ in range(40):
@@ -284,25 +287,90 @@ class TestCompiledAcceptance:
             table = tuple(
                 k if rng.random() < 0.15 else rng.randrange(k) for _ in range(k * S)
             )
-            colorings = list(product(range(3), repeat=k))
+            sigma = Alphabet(tuple("abcd"[:S]))
+            names = tuple(f"q{s}" for s in range(k))
+            cells = product(names, sigma.letters)
+            transitions = {
+                cell: frozenset({names[t]}) for cell, t in zip(cells, table) if t != k
+            }
+            marked = [
+                ParityAutomaton(
+                    sigma, names, frozenset({"q0"}), transitions,
+                    {q: 2 if q == mark else 1 for q in names},
+                )
+                for mark in names
+            ]
+            bits = [1 << s for s in range(k)]
+            colorings = [
+                (
+                    [1 << c for c in colors],
+                    [False] + [
+                        max(c for s, c in enumerate(colors) if states >> s & 1) % 2 == 0
+                        for states in range(1, 1 << k)
+                    ],
+                )
+                for colors in product(range(3), repeat=k)
+            ]
             for length in range(1, 5):
                 for word in product(range(S), repeat=length):
-                    recurring = core.det_split_recurring(table, k, S, 0, word)
-                    assert len(recurring) == length
-                    assert all(states < 1 << k for states in recurring)
-                    if not any(recurring):
+                    named = tuple(sigma[x] for x in word)
+                    want = [
+                        sum(
+                            1 << s for s, b in enumerate(marked)
+                            if naive_accepts(b, Lasso(named[:i], named[i:]))
+                        )
+                        for i in range(length)
+                    ]
+                    recurring = core.det_split_recurring(table, bits, S, 0, word)
+                    if recurring is None:
+                        # the run dies along the word: no split recurs
+                        assert not any(want), (table, word)
                         died_along_word += 1
-                    elif not all(recurring):
+                        for weight, _ in colorings:
+                            got = core.det_split_recurring(table, weight, S, 0, word)
+                            assert got is None, (table, word, weight)
+                        continue
+                    assert recurring == want, (table, word)
+                    if not all(recurring):
                         died_in_later_round += 1
-                    for colors in colorings:
-                        want = core.det_split_verdicts(table, colors, S, 0, word)
-                        got = [
-                            states != 0
-                            and max(c for s, c in enumerate(colors) if states >> s & 1) % 2 == 0
-                            for states in recurring
-                        ]
-                        assert got == want, (table, word, colors)
+                    for weight, accepted in colorings:
+                        got = core.det_split_recurring(table, weight, S, 0, word)
+                        assert [core.even_top(r) for r in got] == [
+                            accepted[states] for states in want
+                        ], (table, word, weight)
         assert died_along_word > 100 and died_in_later_round > 100
+
+    def test_weighted_run_against_naive_reference(self):
+        # accepts_lasso and accepts_splits run deterministic tables with
+        # dead cells through one color-weighted run; up to six colors put
+        # the top recurring color above 3, where even_top reads the parity
+        # of a longer bit_length
+        rng = random.Random(61)
+        abc = Alphabet(("a", "b", "c"))
+        verdicts, tops = [], []
+        for i in range(200):
+            sigma = abc if i % 2 else AB
+            a = rand_automaton(rng, sigma, max_states=8, max_color=5,
+                               deterministic=True, density=0.9)
+            view = a.compiled
+            S = len(sigma)
+            for _ in range(8):
+                w = rand_lasso(rng, sigma, max_stem=4, max_loop=8)
+                want = naive_accepts(a, w)
+                assert accepts_lasso(a, w) == want, (i, w)
+                word = [sigma.index(x) for x in w.base]
+                assert accepts_splits(a, word)[len(w.stem)] == want, (i, w)
+                verdicts.append(want)
+                recurring = core.det_split_recurring(
+                    view.table, view.color_weights, S, view.initial, word
+                )
+                if recurring is None:
+                    tops.append(-1)
+                else:
+                    tops.append(recurring[len(w.stem)].bit_length() - 1)
+        # dead runs (top -1) and both parities above color 3 all occur
+        assert tops.count(-1) > 100 and tops.count(4) > 20 and tops.count(5) > 20
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
     def test_nondeterministic_splits_use_product(self):
         rng = random.Random(5)

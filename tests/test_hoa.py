@@ -407,6 +407,27 @@ class TestParseErrors:
         if "state" in swap or "edge" in swap:
             assert re.match(r"line \d+: ", str(err.value))
 
+    @pytest.mark.parametrize(
+        "payload, fields",
+        [
+            (r'"a\"b" c', ['a"b', "c"]),
+            (r'"a\\" b', ["a\\", "b"]),
+            (r'"\q"', ["q"]),
+            ('"a"b', ["a", "b"]),
+            ('2 a"b', ["2", 'a"b']),
+            ('"" x', ["", "x"]),
+            ('\t1  "p q" r\x1c', ["1", "p q", "r"]),
+            ("", []),
+        ],
+    )
+    def test_header_fields(self, payload, fields):
+        assert hoa._split_quoted(payload, 3) == fields
+
+    @pytest.mark.parametrize("payload", ['1 "p', r'"p\"', '"p\\', 'a "', '"'])
+    def test_unterminated_string(self, payload):
+        with pytest.raises(ParseError, match="^line 3: unterminated string$"):
+            hoa._split_quoted(payload, 3)
+
     def test_ap_and_alphabet_exclusive(self):
         with pytest.raises(ParseError, match="exclusive"):
             parse_hoa(_minimal(alphabet='AP: 1 "p"\nAlphabet: 1 "a"'))

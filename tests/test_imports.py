@@ -1,4 +1,5 @@
-"""lassokit depends on the standard library only."""
+"""lassokit depends on the standard library only and keeps no unreferenced
+private code."""
 
 import ast
 import pathlib
@@ -24,3 +25,25 @@ def test_absolute_imports_are_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+def test_private_top_level_code_is_referenced():
+    # a module-level _name function or class that no source refers to is
+    # dead code
+    defined, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((path.name, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 10
+    assert [f"{file}: {name}" for file, name in defined if name not in used] == []

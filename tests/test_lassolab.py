@@ -214,7 +214,8 @@ class TestCheckLassoPrecise:
         monkeypatch.setattr(lassolab, "_scan", scanned)
         with pytest.raises(ResourceLimit, match="largest bound that fits is 15"):
             check_lasso_precise(LEAKY, in_only_a, 1, inclusion_bound=19)
-        with pytest.raises(ResourceLimit):
+        # a contained input scans base 19 alone, which is past the ceiling too
+        with pytest.raises(ResourceLimit, match="largest bound that fits is 15"):
             check_lasso_precise(ONLY_A, automaton_oracle(ONLY_A), 19)
 
     def test_scan_of_exactly_the_ceiling_runs(self, monkeypatch):
@@ -223,6 +224,23 @@ class TestCheckLassoPrecise:
         assert report.checked_inclusion == 8
         with pytest.raises(ResourceLimit, match="largest bound that fits is 2"):
             check_lasso_precise(LEAKY, in_only_a, 1, inclusion_bound=3)
+
+    def test_ceiling_counts_base_n_alone_when_contained(self, monkeypatch):
+        # the product proves containment, so only the 2 base-1 lassos are
+        # scanned; the lassos up to base 19 count as decided
+        report = check_lasso_precise(
+            ONLY_A, automaton_oracle(ONLY_A), 1, inclusion_bound=19
+        )
+        assert report.ok and report.exact_inclusion
+        assert report.checked_inclusion == sum(2**b * b for b in range(2, 20))
+        monkeypatch.setattr(lassolab, "SCAN_CEILING", 2**3 * 3)
+        assert check_lasso_precise(
+            ONLY_A, automaton_oracle(ONLY_A), 3, inclusion_bound=19
+        ).ok
+        with pytest.raises(
+            ResourceLimit, match="base 4 over 2 letters.*largest bound that fits is 3"
+        ):
+            check_lasso_precise(ONLY_A, automaton_oracle(ONLY_A), 4)
 
     def test_against_ltl_oracle(self):
         pmap = ApLetterMap.from_aps(["p"])
