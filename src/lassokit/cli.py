@@ -370,6 +370,10 @@ def _cmd_synthesize(args) -> int:
     solver = args.solver if args.solver is not None else default_solver_command()
 
     if args.minimal:
+        if args.states is not None:
+            raise InputError(
+                "--states fixes the budget and --minimal searches for it: give one"
+            )
         if args.max_states is None or args.max_states < 1:
             raise InputError("--minimal needs --max-states >= 1")
         if args.emit_qbf:
@@ -389,8 +393,12 @@ def _cmd_synthesize(args) -> int:
             return 1
         k, witness = found
     else:
-        if args.states is None or args.states < 1:
+        if args.max_states is not None:
+            raise InputError("--max-states bounds --minimal's search; use it with --minimal")
+        if args.states is None:
             raise InputError("--states is required (or use --minimal)")
+        if args.states < 1:
+            raise InputError("--states must be positive")
         q = SynthesisQuery(formula, amap, n, args.states, args.colors, args.target)
         if args.emit_qbf:
             _write_text(args.emit_qbf, emit_qdimacs(encode(q)))

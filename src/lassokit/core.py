@@ -490,8 +490,9 @@ def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
 # the successor of state q on letter x is table[q * S + x], and
 # len(weight) is the dead cell.  One run ORs a positive per-state
 # ``weight`` over the states that recur: color weights 1 << c give the
-# verdict (``even_top``), and the brute-force synthesis scan passes state
-# bits 1 << q instead, so that one run serves every coloring of a table.
+# verdict (``even_top``).  The brute-force synthesis search keeps a copy
+# of this run that also stops at the unset cells of a partial table and
+# passes state bits 1 << q, so that one run serves every coloring.
 
 def even_top(recurring: int) -> bool:
     """Whether an OR of color weights 1 << c is non-empty with an even

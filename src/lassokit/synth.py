@@ -38,7 +38,6 @@ from .core import (
     ParityAutomaton,
     ResourceLimit,
     SolverFailure,
-    det_split_recurring,
     lasso_tables,
     nondet_split_verdicts,
     product_lasso,
@@ -659,35 +658,6 @@ def search_space_size(alphabet_size: int, k: int, m: int, target: str) -> int:
     return (1 << k) ** (k * alphabet_size) * m**k * k
 
 
-def _canonical_reach(table: tuple, k: int, S: int) -> Optional[int]:
-    """Reachable-state count if the successor table is in canonical form.
-
-    Canonical means: states are numbered in first-visit order (scanning
-    states, then letters, in index order from state 0), and rows of
-    never-visited states are all dead.  Every table has exactly one
-    canonical form up to renaming of its reachable states, so enumeration
-    may skip the rest.  The form is not unique per language: different
-    canonical tables can accept the same words.
-    """
-    seen = 1
-    i = 0
-    while i < seen:
-        base = i * S
-        for li in range(S):
-            t = table[base + li]
-            if t >= k:
-                continue
-            if t > seen:
-                return None
-            if t == seen:
-                seen += 1
-        i += 1
-    for cell in range(seen * S, k * S):
-        if table[cell] < k:
-            return None
-    return seen
-
-
 def search_lasso_precise(
     alphabet: Alphabet,
     oracle,
@@ -698,9 +668,9 @@ def search_lasso_precise(
     ceiling: int = DEFAULT_SEARCH_CEILING,
     inclusion_bound: Optional[int] = None,
 ) -> Optional[ParityAutomaton]:
-    """Enumerate k-state, m-color automata over the alphabet and return the
-    first one that agrees with the oracle on every base-n lasso and whose
-    language is contained in the oracle's.
+    """Search k-state, m-color automata over the alphabet for one that
+    agrees with the oracle on every base-n lasso and whose language is
+    contained in the oracle's, and return it, or None if there is none.
 
     Containment is exact when the oracle is an ``ltl_oracle``, which
     carries its formula and letter map: a candidate that passes the
@@ -709,20 +679,29 @@ def search_lasso_precise(
     base up to the inclusion bound (default n*k), the only case the bound
     applies to.
 
-    Deterministic candidates are enumerated up to renaming (initial state
-    fixed, states numbered in visit order), tables in index order and each
-    table's colorings in itertools.product order.  A table is run once per
-    equality word for all its colorings: the run gives the set of states
-    that recur on each split (``core.det_split_recurring``), and a coloring
-    agrees iff it accepts the sets that must be accepted and none of the
-    ones that must be rejected: two bit tests against its precomputed
-    accepted sets.  A word that refutes a table moves to the front of the
-    word list; since every word must agree, the order changes no answer.
-    The nondeterministic mode enumerates subset transition tables with
-    initial sets {q0..qi} and is only meant for very small k.  Raises
-    ResourceLimit when the documented pre-pruning count exceeds the
-    ceiling.  The witness is not re-checked here: callers run
-    ``verify_certificate`` on it.
+    Deterministic candidates are found by a depth-first search over a
+    partial successor table, which assigns a cell only when the run of a
+    constraint reads it.  A constraint is an equality word with its split
+    verdicts, or a lasso that a containment test found outside the
+    language, which every later candidate must reject.  The choices for a
+    cell are the states used so far, the next unused state (states are
+    numbered in first-use order, which fixes the initial state and breaks
+    the renaming symmetry) and dead.  Runs are simulated with state bits
+    as weights, so they give the set of states that recur on each split,
+    and a coloring agrees iff it accepts every set that must be accepted
+    and none that must be rejected: a node keeps these two sets as bits
+    and the colorings that pass both, and is pruned when none does.  Each
+    node first re-runs the few constraints that refuted last, since a
+    constraint that refuted a sibling often refutes it too.  Once every
+    constraint is folded in, the unread cells become dead: a dead cell
+    only shrinks the language and the read cells fix every constraint, so
+    if this table fails for every live coloring of its used states, so
+    does every table that extends it.  A counterexample to containment
+    becomes a new constraint.  The nondeterministic mode enumerates subset
+    transition tables with initial sets {q0..qi} and is only meant for
+    very small k.  Raises ResourceLimit when the documented pre-pruning
+    count exceeds the ceiling.  The witness is not re-checked here:
+    callers run ``verify_certificate`` on it.
     """
     S = len(alphabet)
     space = search_space_size(S, k, m, target)
@@ -744,15 +723,18 @@ def search_lasso_precise(
         for word in words_by_length(range(S), n, n)
     ]
     formula = getattr(oracle, "formula", None)
-    # contained(verdicts_of, starts, colors, moves): the containment test of
-    # a candidate that agrees on every equality word, given its split
-    # verdicts and its integer view
+    # leak(verdicts_of, starts, colors, moves): for a candidate that agrees
+    # on every equality word, given its split verdicts and its integer
+    # view, a lasso (word, split) that it accepts outside the language, or
+    # None if the containment test passes
     if formula is not None:
         negation = tableau(formula, oracle.ap_map, negate=True)
 
-        def contained(verdicts_of, starts, colors, moves) -> bool:
-            witness = product_lasso(alphabet.letters, starts, colors, moves, negation)
-            return witness is None
+        def leak(verdicts_of, starts, colors, moves):
+            got = product_lasso(alphabet.letters, starts, colors, moves, negation)
+            if got is None:
+                return None
+            return tuple(alphabet.index(x) for x in got.base), len(got.stem)
 
     else:
         bound = n * k if inclusion_bound is None else inclusion_bound
@@ -762,16 +744,16 @@ def search_lasso_precise(
             lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
         )
 
-        def contained(verdicts_of, starts, colors, moves) -> bool:
+        def leak(verdicts_of, starts, colors, moves):
             for word in inclusion():
                 for split, got in enumerate(verdicts_of(word)):
                     if got and not phi(_lasso_of(alphabet, word, split)):
-                        return False
-            return True
+                        return word, split
+            return None
 
     if target == "deterministic":
-        return _scan_deterministic(alphabet, k, m, equality, contained)
-    return _scan_nondeterministic(alphabet, k, m, equality, contained)
+        return _search_deterministic(alphabet, k, m, equality, leak)
+    return _scan_nondeterministic(alphabet, k, m, equality, leak)
 
 
 def _lasso_of(alphabet: Alphabet, word, split: int) -> Lasso:
@@ -804,37 +786,148 @@ def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
     )
 
 
-def _scan_deterministic(alphabet, k, m, equality, contained):
-    # Reversing product's tuples puts the tables in index order, cell 0
-    # varying fastest.  A table's run on a lasso does not depend on its
-    # colors, so the equality words are run once per table (state bits as
-    # weights) and only the colorings that agree on all of them reach
-    # ``contained``.
+def _search_deterministic(alphabet, k, m, equality, leak):
+    # table[q * S + x] is the successor of state q on letter x: a state, k
+    # (dead) or k + 1 (unset); ``constraints`` holds (word, wants) pairs,
+    # wants[i] the verdict that the split at i must get or None
     S = len(alphabet)
-    equality = list(equality)
+    unset = k + 1
+    table = [unset] * (k * S)
     bits = [1 << q for q in range(k)]
-    by_reach: dict[int, list] = {}
-    for digits in itertools.product(range(k + 1), repeat=k * S):
-        table = digits[::-1]
-        reach = _canonical_reach(table, k, S)
-        if reach is None:
-            continue
-        colorings = by_reach.get(reach)
-        if colorings is None:
-            colorings = by_reach[reach] = _accept_sets(reach, k, m)
-        live = _live_colorings(table, bits, S, colorings, equality)
-        if not live:
-            continue
-        moves = [() if t == k else (t,) for t in table]
-        for mu, accepts in live:
+    constraints = list(equality)
+    recent: list[int] = []  # the constraints that refuted last, latest first
+    colorings = functools.cache(lambda used: _accept_sets(used, k, m))
+
+    def refuted(j: int) -> None:
+        if j in recent:
+            recent.remove(j)
+        recent.insert(0, j)
+        del recent[4:]
+
+    def fold(recurring, wants, need: int, forbid: int, live: list):
+        # need and forbid hold the recurring-state sets to accept and to
+        # reject as bits, set 0 being a dead run; None on a clash
+        was = need, forbid
+        # a run that dies along the word recurs on set 0 at every split
+        for states, want in zip(recurring or itertools.repeat(0), wants):
+            if want:
+                need |= 1 << states
+            elif want is not None:
+                forbid |= 1 << states
+        if (need, forbid) == was:
+            return need, forbid, live
+        if need & (forbid | 1):
+            return None
+        live = [c for c in live if c & need == need and not c & forbid]
+        return (need, forbid, live) if live else None
+
+    def visit(used: int, need: int, forbid: int, live: list, i: int):
+        # constraints[:i] are folded into need, forbid and live
+        for j in recent:
+            if j >= i:
+                word, wants = constraints[j]
+                recurring = _split_recurring(table, bits, S, word)
+                if type(recurring) is int:
+                    continue
+                got = fold(recurring, wants, need, forbid, live)
+                if got is None:
+                    refuted(j)
+                    return None
+                need, forbid, live = got
+        while i < len(constraints):
+            word, wants = constraints[i]
+            recurring = _split_recurring(table, bits, S, word)
+            if type(recurring) is int:
+                cell = ~recurring
+                for t in (*range(min(used + 1, k)), k):
+                    table[cell] = t
+                    found = visit(used + (t == used < k), need, forbid, live, i)
+                    if found is not None:
+                        return found
+                table[cell] = unset
+                return None
+            got = fold(recurring, wants, need, forbid, live)
+            if got is None:
+                refuted(i)
+                return None
+            need, forbid, live = got
+            i += 1
+        return leaf(used, need, forbid)
+
+    def leaf(used: int, need: int, forbid: int):
+        # unread cells become dead; a leak found here is a constraint that
+        # every later candidate must meet
+        done = [min(t, k) for t in table]
+        moves = [() if t == k else (t,) for t in done]
+        for mu, accepts in colorings(used):
+            if accepts & need != need or accepts & forbid:
+                continue
 
             def verdicts_of(word):
-                recurring = det_split_recurring(table, bits, S, 0, word) or [0] * len(word)
+                recurring = _split_recurring(done, bits, S, word) or [0] * len(word)
                 return [accepts >> states & 1 for states in recurring]
 
-            if contained(verdicts_of, (0,), mu, moves):
+            found = leak(verdicts_of, (0,), mu, moves)
+            if found is None:
                 return _build(alphabet, (0,), mu, moves)
-    return None
+            word, split = found
+            wants = [None] * len(word)
+            wants[split] = False
+            constraints.append((word, wants))
+            refuted(len(constraints) - 1)
+            forbid |= 1 << _split_recurring(done, bits, S, word)[split]
+        return None
+
+    return visit(1, 0, 0, [c for _mu, c in colorings(k)], 0)
+
+
+def _split_recurring(table, bits, S: int, word):
+    """``core.det_split_recurring`` from state 0 on a partial table, whose
+    unset cells hold len(bits) + 1: the list, or None if the run dies
+    along the word, or ~cell (an int) for the first unset cell it reads."""
+    dead = len(bits)
+    q = 0
+    run = [q]
+    for x in word:
+        cell = q * S + x
+        q = table[cell]
+        if q >= dead:
+            return None if q == dead else ~cell
+        run.append(q)
+    recurring = [0] * len(word)
+    seen = 0
+    for i in range(len(word) - 1, -1, -1):
+        start = run[i]
+        seen |= bits[start]
+        if q == start:
+            recurring[i] = seen
+            continue
+        got = _loop_recurring(table, bits, S, q, word[i:], {start: 0}, [seen])
+        if got < 0:
+            return got
+        recurring[i] = got
+    return recurring
+
+
+def _loop_recurring(table, bits, S: int, q: int, loop, entry: dict, rounds: list) -> int:
+    """``core._det_recurring`` on a partial table: the OR over the
+    recurring rounds, 0 if the run dies, or ~cell for the first unset cell
+    it reads."""
+    dead = len(bits)
+    while q not in entry:
+        entry[q] = len(rounds)
+        seen = 0
+        for x in loop:
+            seen |= bits[q]
+            cell = q * S + x
+            q = table[cell]
+            if q >= dead:
+                return 0 if q == dead else ~cell
+        rounds.append(seen)
+    seen = 0
+    for got in rounds[entry[q]:]:
+        seen |= got
+    return seen
 
 
 def _accept_sets(reach: int, k: int, m: int) -> list:
@@ -852,38 +945,7 @@ def _accept_sets(reach: int, k: int, m: int) -> list:
     return out
 
 
-def _live_colorings(table, bits, S: int, colorings: list, equality: list) -> list:
-    """The colorings of ``table`` that agree with the language on every
-    equality word.  ``need`` and ``forbid`` collect the recurring-state
-    sets (``det_split_recurring`` with the state bits ``bits`` as
-    weights) that must be accepted and rejected (as bits, set 0 being a
-    dead run).  A word that refutes the table moves to the front of
-    ``equality``; it does not change what passes, since every word must
-    agree, but the next table is likely refuted by it too."""
-    need = forbid = 0
-    live = colorings
-    for pos, (word, wants) in enumerate(equality):
-        was = need, forbid
-        recurring = det_split_recurring(table, bits, S, 0, word)
-        # a run that dies along the word recurs on set 0 at every split
-        for states, want in zip(recurring or itertools.repeat(0), wants):
-            if want:
-                need |= 1 << states
-            else:
-                forbid |= 1 << states
-        if (need, forbid) == was:
-            continue
-        if need & (forbid | 1):
-            live = []
-        else:
-            live = [c for c in live if c[1] & need == need and not c[1] & forbid]
-        if not live:
-            equality.insert(0, equality.pop(pos))
-            return live
-    return live
-
-
-def _scan_nondeterministic(alphabet, k, m, equality, contained):
+def _scan_nondeterministic(alphabet, k, m, equality, leak):
     # experimental mode: no symmetry pruning beyond the initial-set shape.
     # Candidates stay integer views (starts, colors, moves) and meet each
     # lasso through ``core.nondet_split_verdicts`` with its word tables,
@@ -899,9 +961,9 @@ def _scan_nondeterministic(alphabet, k, m, equality, contained):
                 def verdicts_of(word):
                     return nondet_split_verdicts(starts, colors, table, tables_of(word))
 
-                if _agrees(verdicts_of, equality) and contained(
+                if _agrees(verdicts_of, equality) and leak(
                     verdicts_of, starts, colors, table
-                ):
+                ) is None:
                     return _build(alphabet, starts, colors, table)
     return None
 

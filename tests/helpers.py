@@ -227,9 +227,14 @@ def same_automaton(a: ParityAutomaton, b: ParityAutomaton) -> bool:
 
 
 def reference_synthesis(
-    f: LtlFormula, m: ApLetterMap, n: int, k: int, colors: int
+    f: LtlFormula,
+    m: ApLetterMap,
+    n: int,
+    k: int,
+    colors: int,
+    inclusion_bound: Optional[int] = None,
 ) -> Optional[ParityAutomaton]:
-    """Deterministic brute-force synthesis without the library's scan.
+    """Deterministic brute-force synthesis without the library's search.
 
     Tables are decoded from their index (cell 0 is the least significant
     base-(k+1) digit, k a missing edge) and taken in index order; a table
@@ -239,6 +244,9 @@ def reference_synthesis(
     order, the other states get color 0.  A candidate is returned when
     ``naive_accepts`` matches ``naive_eval`` on every lasso of base n and
     ``ltl.violation`` finds no word of the candidate outside the formula.
+    With ``inclusion_bound`` B, containment is instead checked on the
+    lassos of base at most B only (``naive_accepts`` implies
+    ``naive_eval``), as the library does behind a bare oracle.
     """
     alphabet = m.alphabet
     S = len(alphabet)
@@ -248,6 +256,12 @@ def reference_synthesis(
         for split in range(n)
     ]
     wants = [naive_eval(f, w, m) for w in lassos]
+    bounded = [
+        (w, naive_eval(f, w, m))
+        for length in range(1, (inclusion_bound or 0) + 1)
+        for word in itertools.product(alphabet.letters, repeat=length)
+        for w in (Lasso(word[:split], word[split:]) for split in range(length))
+    ]
     names = [f"q{s}" for s in range(k)]
     for index in range((k + 1) ** (k * S)):
         table = []
@@ -279,9 +293,13 @@ def reference_synthesis(
                 transitions=transitions,
                 coloring=dict(zip(names, coloring + (0,) * (k - reached))),
             )
-            if all(naive_accepts(a, w) == want for w, want in zip(lassos, wants)):
+            if not all(naive_accepts(a, w) == want for w, want in zip(lassos, wants)):
+                continue
+            if inclusion_bound is None:
                 if ltl.violation(a, f, m) is None:
                     return a
+            elif all(want or not naive_accepts(a, w) for w, want in bounded):
+                return a
     return None
 
 

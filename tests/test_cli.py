@@ -690,6 +690,18 @@ class TestSynthesize:
             )[0]
             == 2
         )
+        # each message names the real problem, not a missing --states
+        for flags, message in (
+            (("--states", "0"), "--states must be positive"),
+            (("--states", "-1"), "--states must be positive"),
+            (("--minimal", "--max-states", "2", "--states", "2"), "give one"),
+            (("--states", "2", "--max-states", "3"), "use it with --minimal"),
+        ):
+            code, stdout, err = run(
+                "synthesize", "--ltl", "G p", "--bound", "1", "--colors", "1", *flags
+            )
+            assert code == 2 and stdout == "", flags
+            assert message in err and "is required" not in err, flags
 
     def test_external_solver_flag(self, run, tmp_path):
         solver = tmp_path / "no.sh"

@@ -1,4 +1,3 @@
-import itertools
 import random
 import stat
 
@@ -11,7 +10,6 @@ from lassokit.core import (
     ResourceLimit,
     SolverFailure,
     accepts_lasso,
-    reachable_states,
 )
 from lassokit.lassolab import check_lasso_precise, words_by_length
 from lassokit.ltl import ApLetterMap, ltl_oracle, parse_ltl
@@ -36,7 +34,7 @@ from lassokit.synth import (
     verify_certificate,
 )
 
-from helpers import rand_formula, reference_synthesis, same_automaton
+from helpers import naive_eval, rand_formula, reference_precision, reference_synthesis
 
 P1 = ApLetterMap.from_aps(["p"])
 P2 = ApLetterMap.from_aps(["p", "q"])
@@ -411,9 +409,9 @@ class TestBruteForce:
         assert calls == [(1, 1), (1, 2)]
 
     def test_matches_reference_enumerator(self):
-        # the scan runs each table once for all its colorings and reorders
-        # its equality words; helpers.reference_synthesis walks the same
-        # candidate order one candidate at a time, so the witnesses are equal
+        # helpers.reference_synthesis walks tables in index order, one
+        # candidate at a time; the search may return another witness of the
+        # same size, so verdicts must match and every witness is certified
         rng = random.Random(8)
         queries = [
             (parse_ltl(text, ["p"]), P1, n, k, m)
@@ -427,39 +425,32 @@ class TestBruteForce:
             (rand_formula(rng, ["p", "q"], 5), P2, n, k, m)
             for n, k, m in ((1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
         ]
-        # (formula, n, k, m) -> index of the witness's coloring of its
-        # reached states in itertools.product order, or None for UNSAT
-        special = {
-            ("G F p & G F q", 2, 2, 2): None,
-            # the first table that agrees on base 2 needs its 22nd coloring
-            ("G F p", 2, 3, 3): 21,
-            # coloring 1 of the witness table agrees on base 1 but accepts
-            # words outside F G p
-            ("F G p", 1, 3, 2): 2,
-            # two earlier tables agree on base 1 and leak
-            ("p U q", 1, 2, 2): 0,
-        }
+        special = (
+            ("G F p & G F q", 2, 2, 2),
+            # the first table that the index-order scan finds agreeing on
+            # base 2 needs its 22nd coloring
+            ("G F p", 2, 3, 3),
+            # the index-order witness table agrees on base 1 in an earlier
+            # coloring that accepts words outside F G p
+            ("F G p", 1, 3, 2),
+            # two index-order tables agree on base 1 and leak
+            ("p U q", 1, 2, 2),
+        )
         for text, n, k, m in special:
             ap_map = P2 if "q" in text else P1
             queries.append((parse_ltl(text, list(ap_map.aps)), ap_map, n, k, m))
-        witnesses = []
+        verdicts = []
         for f, ap_map, n, k, m in queries:
-            got = brute_force_search(SynthesisQuery(f, ap_map, n, k, m))
+            q = SynthesisQuery(f, ap_map, n, k, m)
+            got = brute_force_search(q)
             want = reference_synthesis(f, ap_map, n, k, m)
-            if want is None:
-                assert got is None, (f, n, k, m)
-            else:
-                assert got is not None and same_automaton(got, want), (f, n, k, m)
-            witnesses.append(got)
-        for ((_, n, k, m), index), a in zip(special.items(), witnesses[-len(special):]):
-            if index is None:
-                assert a is None
-                continue
-            reached = sorted(reachable_states(a))
-            colorings = list(itertools.product(range(m), repeat=len(reached)))
-            assert colorings.index(tuple(a.coloring[q] for q in reached)) == index
-        unsat = sum(a is None for a in witnesses)
-        assert 10 < unsat < len(witnesses) - 10
+            assert (got is None) == (want is None), (f, n, k, m)
+            if got is not None:
+                assert got.size == k and verify_certificate(q, got).ok, (f, n, k, m)
+            verdicts.append(got is not None)
+        assert verdicts[-len(special):] == [False, True, True, True]
+        unsat = verdicts.count(False)
+        assert 10 < unsat < len(verdicts) - 10
 
     def test_ceiling(self):
         with pytest.raises(ResourceLimit):
@@ -492,6 +483,76 @@ class TestBruteForce:
         assert a is not None
         assert accepts_lasso(a, Lasso((), ("1",)))
         assert not accepts_lasso(a, Lasso((), ("0",)))
+
+
+class TestDepthFirstSearch:
+    """The deterministic search against helpers.reference_synthesis, the
+    index-order enumerator, on seeded grids."""
+
+    def grid(self, seed: int, size: int):
+        rng = random.Random(seed)
+        for _ in range(size):
+            aps = ["p"] if rng.random() < 0.6 else ["p", "q"]
+            f = rand_formula(rng, aps, rng.randint(3, 5))
+            most = 2 if len(aps) == 2 else 3
+            n, k = rng.randint(1, most), rng.randint(1, most)
+            yield f, ApLetterMap.from_aps(aps), n, k, rng.randint(1, 2)
+
+    def test_formula_oracles_match_the_reference(self):
+        verdicts = []
+        for f, ap_map, n, k, m in self.grid(26, 40):
+            q = SynthesisQuery(f, ap_map, n, k, m)
+            got = brute_force_search(q)
+            want = reference_synthesis(f, ap_map, n, k, m)
+            assert (got is None) == (want is None), (f, n, k, m)
+            if got is not None:
+                assert got.size == k and verify_certificate(q, got).ok, (f, n, k, m)
+            verdicts.append(got is not None)
+        assert 5 < verdicts.count(True) < len(verdicts) - 5
+
+    def test_bare_oracles_match_the_bounded_reference(self):
+        # behind a plain callable containment is the bounded scan, to base
+        # n*k unless inclusion_bound says otherwise
+        verdicts = []
+        for f, ap_map, n, k, m in self.grid(29, 16):
+            phi = ltl_oracle(f, ap_map)
+            for bound in (None, n + 2):
+                got = search_lasso_precise(
+                    ap_map.alphabet, lambda w: phi(w), n, k, m, inclusion_bound=bound
+                )
+                depth = n * k if bound is None else bound
+                want = reference_synthesis(f, ap_map, n, k, m, inclusion_bound=depth)
+                assert (got is None) == (want is None), (f, n, k, m, bound)
+                if got is not None:
+                    report = reference_precision(
+                        got, lambda w: naive_eval(f, w, ap_map), n, depth
+                    )
+                    assert got.size == k and report.ok, (f, n, k, m, bound)
+                verdicts.append(got is not None)
+        assert 3 < verdicts.count(True) < len(verdicts) - 3
+
+    @pytest.mark.parametrize("text, n, k, m", [("p U q", 1, 2, 2), ("p -> X p", 1, 3, 1)])
+    def test_leaks_become_constraints(self, monkeypatch, text, n, k, m):
+        # a leaf that agrees on base n but leaks comes first; the lasso of
+        # the leak must be rejected by the witness
+        learned = []
+        real = synth.product_lasso
+
+        def recording(*args):
+            got = real(*args)
+            if got is not None:
+                learned.append(got)
+            return got
+
+        monkeypatch.setattr(synth, "product_lasso", recording)
+        ap_map = P2 if "q" in text else P1
+        f = parse_ltl(text, list(ap_map.aps))
+        q = SynthesisQuery(f, ap_map, n, k, m)
+        a = brute_force_search(q)
+        assert a is not None and a.size == k and verify_certificate(q, a).ok
+        assert learned
+        for w in learned:
+            assert not naive_eval(f, w, ap_map) and not accepts_lasso(a, w)
 
 
 class TestMonotonicity:
