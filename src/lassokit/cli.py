@@ -47,7 +47,7 @@ from .core import (
 )
 from .families import FAMILIES
 from .hoa import HoaDocument, parse_hoa, to_dot, write_hoa
-from .lassolab import automaton_oracle, check_lasso_precise
+from .lassolab import _require_affordable_scan, automaton_oracle, check_lasso_precise
 from .ltl import ApLetterMap, format_ltl, ltl_oracle, neg, parse_ltl
 from .synth import (
     SynthesisQuery,
@@ -271,6 +271,9 @@ def _cmd_approximate(args) -> int:
             raise InputError("LTL inputs build safety approximations only")
         formula, amap = _formula_with_map(args.ltl)
         sigma = _restrict_alphabet(amap, args.alphabet)
+        # the construction asks the oracle about every lasso of base n, as
+        # many questions as a precision scan of base n
+        _require_affordable_scan(len(sigma), n, n, contained=True)
         bound = safety_state_bound(len(sigma), n)
         if args.direction == "under":
             out = build_safety_lasso_precise(ltl_oracle(formula, amap), sigma, n)

@@ -490,9 +490,11 @@ def accepts_splits(a: ParityAutomaton, word: Sequence[int]) -> list[bool]:
 # the successor of state q on letter x is table[q * S + x], and
 # len(weight) is the dead cell.  One run ORs a positive per-state
 # ``weight`` over the states that recur: color weights 1 << c give the
-# verdict (``even_top``).  The brute-force synthesis search keeps a copy
-# of this run that also stops at the unset cells of a partial table and
-# passes state bits 1 << q, so that one run serves every coloring.
+# verdict (``even_top``).  The brute-force synthesis search runs it on a
+# partial table with state bits 1 << q, so that one run serves every
+# coloring: a cell above the dead cell is unset, and the run stops at the
+# first one it reads and returns its value v as ~v (negative), which the
+# search makes name the cell.  Compiled tables hold no such cell.
 
 def even_top(recurring: int) -> bool:
     """Whether an OR of color weights 1 << c is non-empty with an even
@@ -504,8 +506,8 @@ def _det_recurring(table, weight, S: int, q: int, loop, entry: dict, rounds: lis
     """Simulate the loop one round at a time from entry state q until an
     entry state repeats; ``entry`` maps the entry states of the rounds in
     ``rounds`` (the OR of the weights of each round's states) to their
-    round number.  Returns the OR over the recurring rounds, or 0 if the
-    run dies."""
+    round number.  Returns the OR over the recurring rounds, 0 if the run
+    dies, or ~v if it reads an unset cell, one that holds v > len(weight)."""
     dead = len(weight)
     while q not in entry:
         entry[q] = len(rounds)
@@ -513,8 +515,8 @@ def _det_recurring(table, weight, S: int, q: int, loop, entry: dict, rounds: lis
         for x in loop:
             seen |= weight[q]
             q = table[q * S + x]
-            if q == dead:
-                return 0
+            if q >= dead:
+                return 0 if q == dead else ~q
         rounds.append(seen)
     seen = 0
     for got in rounds[entry[q]:]:
@@ -522,21 +524,24 @@ def _det_recurring(table, weight, S: int, q: int, loop, entry: dict, rounds: lis
     return seen
 
 
-def det_split_recurring(table, weight, S: int, q: int, word) -> Optional[list[int]]:
+def det_split_recurring(table, weight, S: int, q: int, word) -> list[int] | int | None:
     """``_det_recurring`` for every split of ``word`` at once: entry i is
     the OR of ``weight`` over the states that the run from q visits
     infinitely often on the lasso with stem ``word[:i]``, or 0 if it dies
     in a later round.  None if it dies along the word, where every split
     dies: the scans meet many such words and answer them without a pass
-    over the splits.  The run along the word is computed once: it is the
-    stem plus the first loop round of every split, so each split only
-    simulates its later rounds."""
+    over the splits.  On a partial table, whose unset cells hold values
+    above len(weight), it returns ~v (an int) for the value v of the first
+    unset cell read, along the word or in a later round of a split.  The
+    run along the word is computed once: it is the stem plus the first
+    loop round of every split, so each split only simulates its later
+    rounds."""
     dead = len(weight)
     run = [q]
     for x in word:
         q = table[q * S + x]
-        if q == dead:
-            return None
+        if q >= dead:
+            return None if q == dead else ~q
         run.append(q)
     recurring = [0] * len(word)
     seen = 0
@@ -545,8 +550,11 @@ def det_split_recurring(table, weight, S: int, q: int, word) -> Optional[list[in
         seen |= weight[start]
         if q == start:
             recurring[i] = seen
-        else:
-            recurring[i] = _det_recurring(table, weight, S, q, word[i:], {start: 0}, [seen])
+            continue
+        got = _det_recurring(table, weight, S, q, word[i:], {start: 0}, [seen])
+        if got < 0:
+            return got
+        recurring[i] = got
     return recurring
 
 

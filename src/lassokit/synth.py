@@ -38,6 +38,7 @@ from .core import (
     ParityAutomaton,
     ResourceLimit,
     SolverFailure,
+    det_split_recurring,
     lasso_tables,
     nondet_split_verdicts,
     product_lasso,
@@ -709,17 +710,9 @@ def search_lasso_precise(
         raise ResourceLimit(
             f"search space has {space} candidates, ceiling is {ceiling}"
         )
-    cache: dict[Lasso, bool] = {}
-
-    def phi(w: Lasso) -> bool:
-        got = cache.get(w)
-        if got is None:
-            got = bool(oracle(w))
-            cache[w] = got
-        return got
-
+    # each (word, split) lasso of base n is asked once
     equality = [
-        (word, [phi(_lasso_of(alphabet, word, split)) for split in range(n)])
+        (word, [bool(oracle(_lasso_of(alphabet, word, split))) for split in range(n)])
         for word in words_by_length(range(S), n, n)
     ]
     formula = getattr(oracle, "formula", None)
@@ -743,6 +736,8 @@ def search_lasso_precise(
         inclusion = functools.cache(
             lambda: [w for w in words_by_length(range(S), 1, bound) if len(w) != n]
         )
+        # leaves of one search scan the same lassos again
+        phi = functools.cache(lambda w: bool(oracle(w)))
 
         def leak(verdicts_of, starts, colors, moves):
             for word in inclusion():
@@ -788,11 +783,13 @@ def _build(alphabet: Alphabet, starts, colors, moves) -> ParityAutomaton:
 
 def _search_deterministic(alphabet, k, m, equality, leak):
     # table[q * S + x] is the successor of state q on letter x: a state, k
-    # (dead) or k + 1 (unset); ``constraints`` holds (word, wants) pairs,
-    # wants[i] the verdict that the split at i must get or None
+    # (dead) or, while unset, unset + q * S + x, so that the ~v that core's
+    # run returns on reading it names the cell; ``constraints`` holds
+    # (word, wants) pairs, wants[i] the verdict that the split at i must get
+    # or None
     S = len(alphabet)
     unset = k + 1
-    table = [unset] * (k * S)
+    table = [unset + cell for cell in range(k * S)]
     bits = [1 << q for q in range(k)]
     constraints = list(equality)
     recent: list[int] = []  # the constraints that refuted last, latest first
@@ -826,7 +823,7 @@ def _search_deterministic(alphabet, k, m, equality, leak):
         for j in recent:
             if j >= i:
                 word, wants = constraints[j]
-                recurring = _split_recurring(table, bits, S, word)
+                recurring = det_split_recurring(table, bits, S, 0, word)
                 if type(recurring) is int:
                     continue
                 got = fold(recurring, wants, need, forbid, live)
@@ -836,15 +833,15 @@ def _search_deterministic(alphabet, k, m, equality, leak):
                 need, forbid, live = got
         while i < len(constraints):
             word, wants = constraints[i]
-            recurring = _split_recurring(table, bits, S, word)
+            recurring = det_split_recurring(table, bits, S, 0, word)
             if type(recurring) is int:
-                cell = ~recurring
+                cell = ~recurring - unset
                 for t in (*range(min(used + 1, k)), k):
                     table[cell] = t
                     found = visit(used + (t == used < k), need, forbid, live, i)
                     if found is not None:
                         return found
-                table[cell] = unset
+                table[cell] = unset + cell
                 return None
             got = fold(recurring, wants, need, forbid, live)
             if got is None:
@@ -864,7 +861,7 @@ def _search_deterministic(alphabet, k, m, equality, leak):
                 continue
 
             def verdicts_of(word):
-                recurring = _split_recurring(done, bits, S, word) or [0] * len(word)
+                recurring = det_split_recurring(done, bits, S, 0, word) or [0] * len(word)
                 return [accepts >> states & 1 for states in recurring]
 
             found = leak(verdicts_of, (0,), mu, moves)
@@ -875,59 +872,10 @@ def _search_deterministic(alphabet, k, m, equality, leak):
             wants[split] = False
             constraints.append((word, wants))
             refuted(len(constraints) - 1)
-            forbid |= 1 << _split_recurring(done, bits, S, word)[split]
+            forbid |= 1 << det_split_recurring(done, bits, S, 0, word)[split]
         return None
 
     return visit(1, 0, 0, [c for _mu, c in colorings(k)], 0)
-
-
-def _split_recurring(table, bits, S: int, word):
-    """``core.det_split_recurring`` from state 0 on a partial table, whose
-    unset cells hold len(bits) + 1: the list, or None if the run dies
-    along the word, or ~cell (an int) for the first unset cell it reads."""
-    dead = len(bits)
-    q = 0
-    run = [q]
-    for x in word:
-        cell = q * S + x
-        q = table[cell]
-        if q >= dead:
-            return None if q == dead else ~cell
-        run.append(q)
-    recurring = [0] * len(word)
-    seen = 0
-    for i in range(len(word) - 1, -1, -1):
-        start = run[i]
-        seen |= bits[start]
-        if q == start:
-            recurring[i] = seen
-            continue
-        got = _loop_recurring(table, bits, S, q, word[i:], {start: 0}, [seen])
-        if got < 0:
-            return got
-        recurring[i] = got
-    return recurring
-
-
-def _loop_recurring(table, bits, S: int, q: int, loop, entry: dict, rounds: list) -> int:
-    """``core._det_recurring`` on a partial table: the OR over the
-    recurring rounds, 0 if the run dies, or ~cell for the first unset cell
-    it reads."""
-    dead = len(bits)
-    while q not in entry:
-        entry[q] = len(rounds)
-        seen = 0
-        for x in loop:
-            seen |= bits[q]
-            cell = q * S + x
-            q = table[cell]
-            if q >= dead:
-                return 0 if q == dead else ~cell
-        rounds.append(seen)
-    seen = 0
-    for got in rounds[entry[q]:]:
-        seen |= got
-    return seen
 
 
 def _accept_sets(reach: int, k: int, m: int) -> list:

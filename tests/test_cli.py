@@ -193,6 +193,28 @@ class TestApproximate:
         code, _, err = run("approximate", "--ltl", "G 1", "--bound", "1")
         assert code == 2 and "atomic propositions" in err
 
+    @pytest.mark.parametrize("direction", ["under", "over"])
+    def test_ltl_oracle_questions_are_capped(self, run, monkeypatch, direction):
+        # the construction asks |Σ|^n·n questions: 2^16·16 > 10^6 is
+        # refused before any is asked, and the message names 2^15·15
+        start = time.perf_counter()
+        code, stdout, err = run(
+            "approximate", "--ltl", "G F p", "--bound", "16", "--direction", direction
+        )
+        assert code == 4 and stdout == ""
+        assert "base 16 over 2 letters" in err and "largest bound that fits is 15" in err
+        assert time.perf_counter() - start < 1
+        # a bound whose count equals the ceiling still builds
+        monkeypatch.setattr(lassokit.lassolab, "SCAN_CEILING", 2**3 * 3)
+        code, stdout, _ = run(
+            "approximate", "--ltl", "G F p", "--bound", "3", "--direction", direction
+        )
+        assert code == 0 and "--BODY--" in stdout
+        code, _, err = run(
+            "approximate", "--ltl", "G F p", "--bound", "4", "--direction", direction
+        )
+        assert code == 4 and "largest bound that fits is 3" in err
+
     @pytest.mark.parametrize("name, argv", [
         ("ltl_under", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "under"]),
         ("ltl_over", ["--ltl", "G (p -> F q)", "--bound", "3", "--direction", "over"]),

@@ -340,6 +340,71 @@ class TestCompiledAcceptance:
                         ], (table, word, weight)
         assert died_along_word > 100 and died_in_later_round > 100
 
+    def test_partial_table_run_names_its_first_unset_cell(self):
+        # The synthesis search runs det_split_recurring on a partial table
+        # whose unset cell c holds k + 1 + c.  A naive run steps position by
+        # position through the word and then, split by split from the last,
+        # through the loop until a (loop position, state) pair repeats; the
+        # first unset cell it reads is the one the search branches on.
+        def naive(table, k, S, word):
+            q = 0
+            for x in word:
+                q = table[q * S + x]
+                if q > k:
+                    return ~q
+                if q == k:
+                    return None
+            recurring = [0] * len(word)
+            for i in range(len(word) - 1, -1, -1):
+                loop = word[i:]
+                q, j, first_at, states = 0, 0, {}, []
+                while True:
+                    if j >= i:
+                        key = ((j - i) % len(loop), q)
+                        if key in first_at:
+                            for s in states[first_at[key]:]:
+                                recurring[i] |= 1 << s
+                            break
+                        first_at[key] = len(states)
+                        states.append(q)
+                    x = word[j] if j < len(word) else loop[(j - i) % len(loop)]
+                    q = table[q * S + x]
+                    if q > k:
+                        return ~q
+                    if q == k:
+                        break
+                    j += 1
+            return recurring
+
+        rng = random.Random(26)
+        seen = {"along the word": 0, "in a later round": 0, "dies": 0, "list": 0}
+        for _ in range(60):
+            k, S = rng.randint(1, 4), rng.randint(1, 3)
+            table = [
+                rng.choice((k, k + 1 + cell, rng.randrange(k), rng.randrange(k)))
+                for cell in range(k * S)
+            ]
+            done = [min(t, k) for t in table]
+            bits = [1 << s for s in range(k)]
+            for length in range(1, 6):
+                for word in product(range(S), repeat=length):
+                    want = naive(table, k, S, word)
+                    got = core.det_split_recurring(table, bits, S, 0, word)
+                    assert got == want, (table, word)
+                    if type(got) is int:
+                        cell = ~got - k - 1
+                        assert table[cell] == k + 1 + cell
+                        if core.det_split_recurring(done, bits, S, 0, word) is None:
+                            seen["along the word"] += 1
+                        else:
+                            seen["in a later round"] += 1
+                    elif got is None:
+                        seen["dies"] += 1
+                    else:
+                        assert got == core.det_split_recurring(done, bits, S, 0, word)
+                        seen["list"] += 1
+        assert min(seen.values()) > 100, seen
+
     def test_weighted_run_against_naive_reference(self):
         # accepts_lasso and accepts_splits run deterministic tables with
         # dead cells through one color-weighted run; up to six colors put
